@@ -7,6 +7,7 @@ iterate-difference error estimator, and a benchmark driver/CLI.
 
 from .approximants import (
     Approximant,
+    AugmentedBasis,
     RfomResult,
     SketchedBundle,
     fom_closed,

@@ -14,8 +14,9 @@ import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .linalg import lu_solve, qr_econ, svd_econ
+from .linalg import lu_solve, partial_schur_closest_to_origin, qr_econ, svd_econ
 from .matfun import matfun_apply
+from .recycle import propagate_AU
 from .sketch import sketch_apply, sketch_av_from_arnoldi
 from .sparse import csr_matvec
 
@@ -52,15 +53,154 @@ def _right_div_triangular(P, R):
     return scipy.linalg.solve_triangular(R.T, P.T, lower=True).T
 
 
+def _herm_mul(Q, X):
+    """Q* X for a tall Q, conjugating only X: Q.conj().T @ X would copy all of Q."""
+    return (X.conj().T @ Q).conj().T
+
+
 def fom_closed(V, G, b, f, counters=None):
     """FOM / Rayleigh-Ritz approximant V f(G) V* b for orthonormal V, G = V* A V."""
     V = np.asarray(V)
     b = np.asarray(b, dtype=np.complex128)
-    c = V.conj().T @ b
+    c = _herm_mul(V, b)
     if counters is not None:
         counters.add_inner_products(V.shape[1])
     coeffs = matfun_apply(f, G, c)
     return Approximant(coeffs=coeffs, basis=V)
+
+
+class AugmentedBasis:
+    """Orthonormal basis Q of the augmented space [U, V_m], grown with V_m.
+
+    Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
+    U and A U enter once, A U at k matvecs unless a cached one is given.
+    Each extend() orthogonalizes only the Krylov columns added since the
+    previous call: block classical Gram-Schmidt against Q run twice ("twice is
+    enough"), then a QR of the new block.  Column j of [U, V_m] is charged
+    j+1 inner products, the cost a one-shot QR of [U, V_m] is charged.
+
+    G = Q* A Q comes from small matrices: A V_m = V_{m+1} H_m and
+    Q* V_m = R[:, k:], so Q* A [U, V_m] = [Q* AU, R[:, k:] H_m + h (Q* v_next) e_m^T]
+    and the only N-length work past the projection is Q* v_next.  Q is kept
+    column-major and its buffer grows geometrically.
+    """
+
+    def __init__(self, A, U=None, AU=None, counters=None):
+        N = A.nrows
+        U = (np.zeros((N, 0), dtype=np.complex128) if U is None
+             else np.asarray(U, dtype=np.complex128))
+        if AU is None:
+            AU = np.empty((N, U.shape[1]), dtype=np.complex128, order="F")
+            for j in range(U.shape[1]):
+                AU[:, j] = csr_matvec(A, U[:, j], counters)
+        AU = np.asarray(AU, dtype=np.complex128)
+        if AU.shape != U.shape:
+            raise DimensionMismatchError("AU must have the shape of U")
+        self.counters = counters
+        self._start(U, AU)
+
+    def _start(self, U, AU):
+        self.U, self.AU = U, AU
+        self.k = U.shape[1]
+        self.n = 0               # columns of Q
+        self.m = 0               # Krylov columns absorbed
+        self.fac = None
+        self.G = None
+        self.R = np.zeros((0, 0), dtype=np.complex128)
+        self._QAU = np.zeros((0, self.k), dtype=np.complex128)  # Q* AU
+        self._buf = np.empty((U.shape[0], 0), dtype=np.complex128, order="F")
+        self._append(U)
+
+    @property
+    def Q(self):
+        return self._buf[:, :self.n]
+
+    def _append(self, W):
+        """Orthonormalize the columns of W against Q and append them."""
+        n, d = self.n, W.shape[1]
+        if d == 0:
+            return
+        C = np.zeros((0, d), dtype=np.complex128)
+        if n:
+            Q = self.Q
+            C = _herm_mul(Q, W)
+            W = W - Q @ C
+            C2 = _herm_mul(Q, W)
+            W -= Q @ C2
+            C += C2
+            if self.counters is not None:
+                self.counters.add_inner_products(n * d)
+        qr = qr_econ(W, self.counters)
+        if n + d > self._buf.shape[1]:
+            buf = np.empty((self._buf.shape[0], max(n + d, 2 * self._buf.shape[1])),
+                           dtype=np.complex128, order="F")
+            buf[:, :n] = self._buf[:, :n]
+            self._buf = buf
+        self._buf[:, n:n + d] = qr.Q
+        R = np.zeros((n + d, n + d), dtype=np.complex128)
+        R[:n, :n] = self.R
+        R[:n, n:] = C
+        R[n:, n:] = qr.R
+        self.R = R
+        self._QAU = np.vstack([self._QAU, _herm_mul(qr.Q, self.AU)])
+        self.n = n + d
+
+    def extend(self, fac):
+        """Absorb the Krylov columns of fac not yet in Q and update G.
+
+        fac must extend the factorization of the previous call.  If a column
+        turns out numerically dependent, U columns are dropped (with a
+        warning) and the basis is rebuilt from the rest.
+        """
+        self._append(fac.V[:, self.m:])
+        self.m, self.fac = fac.m, fac
+        d = np.abs(np.diagonal(self.R))
+        flagged = int(np.count_nonzero(d <= _DROP_TOL * max(d.max(), 1.0)))
+        if flagged and self.k:
+            self._drop_dependent(flagged)
+            self.extend(fac)
+            return
+        P = self.R[:, self.k:] @ fac.square_h()
+        if fac.breakdown is None:
+            P[:, -1] += fac.h_tail * _herm_mul(self.Q, fac.v_next)
+        self.G = _right_div_triangular(np.hstack([self._QAU, P]), self.R)
+
+    def _drop_dependent(self, flagged):
+        # V is orthonormal, so any dependency is attributable to U: rank-check
+        # with the Krylov block first and drop at least as many U columns as
+        # were flagged, those with the smallest probe diagonals.
+        dp = np.abs(np.diagonal(qr_econ(np.column_stack([self.fac.V, self.U])).R))
+        du = dp[self.fac.m:]
+        n_drop = min(self.k, max(flagged, int(np.count_nonzero(
+            du <= _DROP_TOL * max(dp.max(), 1.0)))))
+        keep = np.sort(np.argsort(du, kind="stable")[n_drop:])
+        warnings.warn(
+            f"dropping {n_drop} numerically dependent augmentation column(s)",
+            stacklevel=3,
+        )
+        self._start(self.U[:, keep], self.AU[:, keep])
+
+    def approximant(self, b, f):
+        """Closed-form rFOM approximant Q f(G) Q* b."""
+        approx = fom_closed(self.Q, self.G, b, f, self.counters)
+        if not np.all(np.isfinite(approx.coeffs)):
+            raise RankDeficiencyError(
+                "augmented approximant is not finite: [U, V_m] is numerically "
+                "rank-deficient or f overflowed on G"
+            )
+        return approx
+
+    def recycle(self, k):
+        """Recycling subspace for the next problem: (U_new, A U_new), no matvecs.
+
+        U_new = Q X holds the k Ritz vectors of G closest to the origin, and
+        A U_new = A [U, V_m] R^{-1} X comes from the cached A U and the
+        Arnoldi relation.
+        """
+        ps = partial_schur_closest_to_origin(self.G, min(k, self.n))
+        Y = scipy.linalg.solve_triangular(self.R, ps.X)
+        AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
+        return self.Q @ ps.X, AU_new
 
 
 @dataclass
@@ -68,61 +208,24 @@ class RfomResult:
     approximant: Approximant
     basis: np.ndarray    # orthonormal augmented basis Q
     G: np.ndarray        # Q* A Q
+    R: np.ndarray        # Q R = [U_kept, V_m]
     fac: object          # the Arnoldi factorization used
-    A_basis: np.ndarray  # A @ (pre-orthonormalization augmented columns)
-    R: np.ndarray        # triangular factor linking Q to those columns
     k_used: int          # augmentation columns actually retained
 
 
-def rfom_step(A, b, U, m, f, AU=None, counters=None, fac=None):
+def rfom_step(A, b, U, m, f, AU=None, counters=None):
     """One recycled-FOM step: orthonormal Krylov + augmentation extraction.
 
     Builds a fully orthogonalized Arnoldi factorization (m+1 matvecs), forms
     the orthonormal augmented basis of [U, V_m], and evaluates the closed-form
-    approximant.  The Krylov block of A times the basis comes from the Arnoldi
-    relation; the k augmentation columns cost k matvecs unless a cached AU is
-    supplied, in which case no extra matvecs are performed.  A prebuilt
-    factorization of K_m(A, b) may be passed to skip the Arnoldi build (used
-    by the adaptive driver loop, which extends one factorization).
+    approximant.  The k augmentation columns cost k matvecs unless a cached
+    AU is supplied, in which case no extra matvecs are performed.
     """
-    b = np.asarray(b, dtype=np.complex128)
-    U = np.zeros((A.nrows, 0), dtype=np.complex128) if U is None else np.asarray(U)
-    k = U.shape[1]
-    if fac is None:
-        fac = arnoldi_build(A, b, m, mode="full", counters=counters)
-    V = fac.V
-    AV = V @ fac.square_h()
-    if fac.breakdown is None:
-        AV[:, -1] += fac.h_tail * fac.v_next
-    if k and AU is None:
-        AU = np.column_stack([csr_matvec(A, U[:, j], counters) for j in range(k)])
-    elif k == 0:
-        AU = np.zeros((A.nrows, 0), dtype=np.complex128)
-    B = np.column_stack([U, V])
-    AB = np.column_stack([AU, AV])
-    qr = qr_econ(B, counters)
-    d = np.abs(np.diagonal(qr.R))
-    if np.any(d <= _DROP_TOL * max(d.max(), 1.0)):
-        # V is orthonormal, so any dependency is attributable to U: rank-check
-        # with the Krylov block first to find the offending U columns.
-        probe = qr_econ(np.column_stack([V, U]))
-        dp = np.abs(np.diagonal(probe.R))
-        bad_u = np.nonzero(dp[V.shape[1]:] <= _DROP_TOL * max(dp.max(), 1.0))[0]
-        warnings.warn(
-            f"dropping {bad_u.size} numerically dependent augmentation column(s)",
-            stacklevel=2,
-        )
-        keep_u = np.setdiff1d(np.arange(k), bad_u)
-        U, AU = U[:, keep_u], AU[:, keep_u]
-        k = keep_u.size
-        B = np.column_stack([U, V])
-        AB = np.column_stack([AU, AV])
-        qr = qr_econ(B, counters)
-    Q, R = qr.Q, qr.R
-    G = _right_div_triangular(Q.conj().T @ AB, R)
-    approx = fom_closed(Q, G, b, f, counters)
-    return RfomResult(approximant=approx, basis=Q, G=G, fac=fac,
-                      A_basis=AB, R=R, k_used=k)
+    fac = arnoldi_build(A, b, m, mode="full", counters=counters)
+    aug = AugmentedBasis(A, U, AU, counters)
+    aug.extend(fac)
+    return RfomResult(approximant=aug.approximant(b, f), basis=aug.Q, G=aug.G,
+                      R=aug.R, fac=fac, k_used=aug.k)
 
 
 def sfom_whitened(Vhat, SV, SAV, Sb, f):

@@ -28,7 +28,7 @@ MODE_TRUNCATED = "truncated"
 
 @dataclass(frozen=True)
 class ArnoldiFactorization:
-    V: np.ndarray        # N x m basis
+    V: np.ndarray        # N x m basis, column-major so each column is contiguous
     H: np.ndarray        # (m+1) x m upper Hessenberg; H[m, m-1] = h_{m+1,m}
     v_next: np.ndarray   # (m+1)-st basis vector, None after breakdown
     w_next: np.ndarray   # cached A @ v_next, None after breakdown
@@ -97,13 +97,13 @@ def arnoldi_build(A, b, m, mode=MODE_FULL, t=2, counters=None):
     if beta == 0:
         raise ValueError("start vector must be nonzero")
     N = A.nrows
-    V = np.empty((N, m), dtype=np.complex128)
+    V = np.empty((N, m), dtype=np.complex128, order="F")
     H = np.zeros((m + 1, m), dtype=np.complex128)
     V[:, 0] = b / beta
     v_next, w_next, breakdown = _advance(A, V, H, 0, m, mode, t, counters, None)
     if breakdown is not None:
         j = breakdown
-        return ArnoldiFactorization(V=V[:, :j].copy(), H=H[: j + 1, :j].copy(),
+        return ArnoldiFactorization(V=V[:, :j].copy(order="F"), H=H[: j + 1, :j].copy(),
                                     v_next=None, w_next=None, mode=mode, t=t,
                                     breakdown=j)
     return ArnoldiFactorization(V=V, H=H, v_next=v_next, w_next=w_next,
@@ -118,7 +118,7 @@ def arnoldi_extend(fac, A, m_new, counters=None):
         return fac
     m_old = fac.m
     N = fac.V.shape[0]
-    V = np.empty((N, m_new), dtype=np.complex128)
+    V = np.empty((N, m_new), dtype=np.complex128, order="F")
     V[:, :m_old] = fac.V
     V[:, m_old] = fac.v_next
     H = np.zeros((m_new + 1, m_new), dtype=np.complex128)
@@ -127,6 +127,6 @@ def arnoldi_extend(fac, A, m_new, counters=None):
                                          counters, fac.w_next)
     if breakdown is not None:
         j = breakdown
-        return replace(fac, V=V[:, :j].copy(), H=H[: j + 1, :j].copy(),
+        return replace(fac, V=V[:, :j].copy(order="F"), H=H[: j + 1, :j].copy(),
                        v_next=None, w_next=None, breakdown=j)
     return replace(fac, V=V, H=H, v_next=v_next, w_next=w_next)

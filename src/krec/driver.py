@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .approximants import SketchedBundle, fom_closed, rfom_step, sfom_whitened, srfom_stab
+from .approximants import (AugmentedBasis, SketchedBundle, fom_closed, sfom_whitened,
+                           srfom_stab)
 from .arnoldi import MODE_TRUNCATED, arnoldi_build, arnoldi_extend
 from .counters import Counters
 from .errest import estimate_diff, pad_coeffs
 from .errors import ConfigError, KrecError
-from .linalg import partial_schur_closest_to_origin
 from .matfun import ScalarFunction
 from .matrices import GENERATORS, perturb_sparsity_gaussian
 from .mmio import read_matrix_market
@@ -216,34 +216,36 @@ class _SketchedKrylov:
 def _run_fom_like(spec, A, b, U, AU, counters, oracle):
     """Fixed or adaptive FOM / rFOM on one problem.
 
-    Returns (approximant, result bundle or None, record fields dict).
+    rFOM keeps one AugmentedBasis across the adaptive steps, so A U is formed
+    at most once per problem.  Returns (approximant, the AugmentedBasis for
+    rFOM or None for FOM, record fields dict).
     """
     f = spec.function
     adaptive = isinstance(spec.m, AdaptiveM)
     m = spec.m.d if adaptive else spec.m
     info = {"converged": True, "estimate": None}
+    aug = AugmentedBasis(A, U, AU, counters) if spec.method == "rfom" else None
     prev_coeffs = None
     fac = None
     while True:
         fac = (arnoldi_build(A, b, m, counters=counters) if fac is None
                else arnoldi_extend(fac, A, m, counters=counters))
-        if spec.method == "fom":
+        if aug is None:
             approx = fom_closed(fac.V, fac.square_h(), b, f, counters)
-            bundle = fac
         else:
-            bundle = rfom_step(A, b, U, m, f, AU=AU, counters=counters, fac=fac)
-            approx = bundle.approximant
+            aug.extend(fac)
+            approx = aug.approximant(b, f)
         m_used = fac.m
         if not adaptive:
             info["m_used"] = m_used
-            return approx, bundle, info
+            return approx, aug, info
         stop, est = _check_stop(spec, approx, prev_coeffs, oracle, b,
                                 sketched=False)
         info["estimate"] = est
         if stop or m_used < m or m >= spec.m.m_max:
             info["m_used"] = m_used
             info["converged"] = stop or m_used < m  # breakdown is exact
-            return approx, bundle, info
+            return approx, aug, info
         prev_coeffs = approx.coeffs
         m = min(m + spec.m.d, spec.m.m_max)
 
@@ -365,18 +367,14 @@ def _run_once(spec, A0):
             if spec.method in ("fom", "rfom"):
                 if spec.method == "rfom" and au_epoch != epoch:
                     AU_cache = None
-                approx, bundle, info = _run_fom_like(
+                approx, aug, info = _run_fom_like(
                     spec, A, b, U if spec.method == "rfom" else None,
                     AU_cache, counters, oracle)
                 if spec.method == "rfom" and spec.k > 0:
                     # a failed subspace update must not void a finished solve:
                     # fall back to the previous recycling state
                     try:
-                        ps = partial_schur_closest_to_origin(
-                            bundle.G, min(spec.k, bundle.G.shape[0]))
-                        U = bundle.basis @ ps.X
-                        AU_cache = bundle.A_basis @ scipy.linalg.solve_triangular(
-                            bundle.R, ps.X)
+                        U, AU_cache = aug.recycle(spec.k)
                         au_epoch = epoch
                     except KrecError as exc:
                         warnings.warn(f"recycling update skipped: {exc}",
@@ -421,6 +419,8 @@ def _run_once(spec, A0):
         elif spec.rhs_rule == "chain":
             b_next = None  # restart the chain after a failure
         records.append(rec)
+        # let the previous problem's bases go before the next problem is solved
+        approx = aug = None
     return records
 
 

@@ -32,12 +32,16 @@ class CSRMatrix:
             raise DimensionMismatchError("col_indices and values must have equal length")
         if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= ncols):
             raise DimensionMismatchError("column index out of range")
-        for i in range(nrows):
-            lo, hi = row_offsets[i], row_offsets[i + 1]
-            if hi - lo > 1 and np.any(np.diff(col_indices[lo:hi]) <= 0):
-                raise DimensionMismatchError(
-                    f"column indices in row {i} must be strictly increasing"
-                )
+        # a step between consecutive entries that is not a row start must rise
+        rising = np.diff(col_indices) > 0
+        starts = row_offsets[1:-1]
+        rising[starts[(starts > 0) & (starts < len(col_indices))] - 1] = True
+        if not rising.all():
+            first = int(np.argmin(rising)) + 1  # entry that fails to rise
+            i = int(np.searchsorted(row_offsets, first, side="right")) - 1
+            raise DimensionMismatchError(
+                f"column indices in row {i} must be strictly increasing"
+            )
         self.nrows = nrows
         self.ncols = ncols
         self.row_offsets = row_offsets

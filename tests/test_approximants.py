@@ -5,11 +5,14 @@ from krec import (
     EXP,
     INV,
     INVSQRT,
+    AugmentedBasis,
     Counters,
     CSRMatrix,
     MODE_TRUNCATED,
     RankDeficiencyError,
     arnoldi_build,
+    arnoldi_extend,
+    exp_scaled,
     fom_closed,
     gmres_type_closed,
     oracle_exact,
@@ -19,6 +22,7 @@ from krec import (
     sgmres_type,
     sgmres_type_stab,
     sketch_apply,
+    qr_econ,
     sketch_new,
     srfom_stab,
     srfom_step,
@@ -134,6 +138,92 @@ class TestRfomStep:
             res = rfom_step(A, b, U, 8, INVSQRT)
         assert res.k_used < 2
         assert np.all(np.isfinite(res.approximant.full_vector()))
+
+    def test_dependent_columns_dropped_independent_kept(self):
+        rng = np.random.default_rng(21)
+        A = _random_hpd(rng, 40)
+        b = _random_complex(rng, 40)
+        fac = arnoldi_build(A, b, 8)
+        free = _random_complex(rng, 40)
+        U = np.column_stack([fac.V[:, :2] @ _random_complex(rng, 2), free,
+                             fac.V[:, 2]])
+        with pytest.warns(UserWarning, match="dropping 2 numerically dependent"):
+            res = rfom_step(A, b, U, 8, INVSQRT)
+        assert res.k_used == 1
+        # Q's first column is the surviving U column, normalized
+        q0 = res.basis[:, 0]
+        assert abs(abs(np.vdot(q0, free)) - np.linalg.norm(free)) \
+            <= 1e-12 * np.linalg.norm(free)
+
+    def test_non_finite_approximant_raises(self):
+        A = CSRMatrix.from_dense(np.diag(np.linspace(900.0, 1000.0, 30)))
+        b = np.ones(30, dtype=np.complex128)
+        with pytest.raises(RankDeficiencyError), np.errstate(all="ignore"):
+            rfom_step(A, b, None, 5, exp_scaled(1.0))
+
+
+def _block_diag_with_invariant_start(rng, n_inv, N):
+    """A with b inside an n_inv-dimensional invariant subspace: Arnoldi breaks down at n_inv."""
+    dense = np.zeros((N, N), dtype=np.complex128)
+    dense[:n_inv, :n_inv] = _random_complex(rng, (n_inv, n_inv)) + 3 * n_inv * np.eye(n_inv)
+    rest = N - n_inv
+    dense[n_inv:, n_inv:] = _random_complex(rng, (rest, rest)) + 3 * rest * np.eye(rest)
+    b = np.zeros(N, dtype=np.complex128)
+    b[:n_inv] = _random_complex(rng, n_inv)
+    return CSRMatrix.from_dense(dense), b
+
+
+class TestAugmentedBasis:
+    def test_incremental_matches_householder_qr(self):
+        rng = np.random.default_rng(22)
+        N, k, n_inv = 60, 4, 25
+        A, b = _block_diag_with_invariant_start(rng, n_inv, N)
+        U, _ = np.linalg.qr(_random_complex(rng, (N, k)))
+        c = Counters()
+        aug = AugmentedBasis(A, U, counters=c)
+        assert c.snapshot()[0] == k
+        fac = arnoldi_build(A, b, 10)
+        aug.extend(fac)
+        for m in (20, 30):
+            fac = arnoldi_extend(fac, A, m)
+            aug.extend(fac)
+        assert fac.breakdown == n_inv and aug.m == n_inv
+        n = k + n_inv
+        # column j of [U, V] is charged j + 1 inner products, as a one-shot QR
+        assert c.snapshot() == (k, n * (n + 1) // 2, 0)
+
+        ref = qr_econ(np.column_stack([U, fac.V]))
+        G_ref = ref.Q.conj().T @ A.to_dense() @ ref.Q
+
+        def rel(x, y):
+            return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+        assert rel(aug.Q, ref.Q) <= 1e-12
+        assert rel(aug.R, ref.R) <= 1e-12
+        assert rel(aug.G, G_ref) <= 1e-12
+
+    def test_cached_au_costs_no_matvecs(self):
+        rng = np.random.default_rng(23)
+        A = _random_hpd(rng, 50)
+        U, _ = np.linalg.qr(_random_complex(rng, (50, 3)))
+        c = Counters()
+        AugmentedBasis(A, U, AU=A.to_dense() @ U, counters=c)
+        assert c.snapshot()[0] == 0
+
+    def test_recycle_propagates_au(self):
+        rng = np.random.default_rng(24)
+        A = _random_hpd(rng, 70)
+        b = _random_complex(rng, 70)
+        U, _ = np.linalg.qr(_random_complex(rng, (70, 3)))
+        aug = AugmentedBasis(A, U)
+        fac = arnoldi_build(A, b, 10)
+        aug.extend(fac)
+        aug.extend(arnoldi_extend(fac, A, 20))
+        U_new, AU_new = aug.recycle(4)
+        assert U_new.shape == (70, 4)
+        np.testing.assert_allclose(U_new.conj().T @ U_new, np.eye(4), atol=1e-12)
+        want = A.to_dense() @ U_new
+        assert np.linalg.norm(AU_new - want) <= 1e-11 * np.linalg.norm(want)
 
 
 class TestSfomWhitened:

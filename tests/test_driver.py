@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,39 @@ class TestRunSequence:
             assert r.sketches == m + 1 + k
         for r in recs:
             assert r.inner_products == sum(min(j + 1, t) + 1 for j in range(m))
+
+    def test_counter_laws_adaptive_rfom(self):
+        # A U is formed once per problem: k matvecs on a new matrix epoch,
+        # none with the cached A U; the augmented QR is charged once per column
+        k, d = 5, 5
+        for perturbation in (0.0, 1e-8):
+            recs = run_sequence(_spec(method="rfom", k=k, num_problems=3,
+                                      perturbation=perturbation,
+                                      m=AdaptiveM(reltol=1e-8, d=d, m_max=60)))
+            for i, r in enumerate(recs):
+                assert r.converged and r.m_used % d == 0
+                kk = k if i > 0 else 0
+                extra = k if i > 0 and perturbation > 0 else 0
+                assert r.matvecs == r.m_used + 1 + extra
+                m, n = r.m_used, kk + r.m_used
+                projections = sum(kk + s for s in range(d, m + 1, d))
+                assert r.inner_products == m * m + 3 * m + n * (n + 1) // 2 + projections
+
+    def test_chained_rfom_failures_recorded(self):
+        # a numerically rank-deficient augmented basis makes exp of the
+        # projected matrix overflow; the problem must fail on record instead
+        # of handing a NaN to the next problem as its right-hand side
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
+                recs = run_sequence(SequenceSpec(
+                    function=exp_scaled(0.01), method="rfom", k=20, num_problems=4,
+                    matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
+                    rhs_rule="chain", t=2, timing_reps=1,
+                    m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
+        assert len(recs) == 4
+        for r in recs:
+            assert r.error is not None or (r.relerr is not None and np.isfinite(r.relerr))
 
     def test_adaptive_m_multiple_of_d(self):
         spec = _spec(m=AdaptiveM(reltol=1e-6, d=7, m_max=70), stop_rule="oracle")
