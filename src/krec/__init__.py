@@ -8,8 +8,9 @@ iterate-difference error estimator, and a benchmark driver/CLI.
 from .approximants import (
     Approximant,
     AugmentedBasis,
+    KrylovBasis,
     RfomResult,
-    SketchedBundle,
+    SketchedBasis,
     fom_closed,
     gmres_type_closed,
     rfom_step,

@@ -14,9 +14,9 @@ import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .linalg import lu_solve, partial_schur_closest_to_origin, qr_econ, svd_econ
+from .linalg import lu_solve, partial_schur_closest_to_origin, qr_econ, svd_truncated
 from .matfun import matfun_apply
-from .recycle import propagate_AU
+from .recycle import RecycleState, propagate_AU, update_sketched, update_sketched_stab
 from .sketch import sketch_apply, sketch_av_from_arnoldi
 from .sparse import csr_matvec
 
@@ -69,6 +69,20 @@ def fom_closed(V, G, b, f, counters=None):
     return Approximant(coeffs=coeffs, basis=V)
 
 
+class KrylovBasis:
+    """The Krylov basis V_m alone, the working basis of FOM."""
+
+    def __init__(self, counters=None):
+        self.counters = counters
+
+    def extend(self, fac):
+        self.fac = fac
+
+    def approximant(self, b, f):
+        """Closed-form FOM approximant V_m f(H_m) V_m* b."""
+        return fom_closed(self.fac.V, self.fac.square_h(), b, f, self.counters)
+
+
 class AugmentedBasis:
     """Orthonormal basis Q of the augmented space [U, V_m], grown with V_m.
 
@@ -85,7 +99,7 @@ class AugmentedBasis:
     column-major and its buffer grows geometrically.
     """
 
-    def __init__(self, A, U=None, AU=None, counters=None):
+    def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
         N = A.nrows
         U = (np.zeros((N, 0), dtype=np.complex128) if U is None
              else np.asarray(U, dtype=np.complex128))
@@ -97,6 +111,7 @@ class AugmentedBasis:
         if AU.shape != U.shape:
             raise DimensionMismatchError("AU must have the shape of U")
         self.counters = counters
+        self.matrix_epoch = matrix_epoch
         self._start(U, AU)
 
     def _start(self, U, AU):
@@ -191,7 +206,7 @@ class AugmentedBasis:
         return approx
 
     def recycle(self, k):
-        """Recycling subspace for the next problem: (U_new, A U_new), no matvecs.
+        """Recycling state for the next problem, with U and A U, no matvecs.
 
         U_new = Q X holds the k Ritz vectors of G closest to the origin, and
         A U_new = A [U, V_m] R^{-1} X comes from the cached A U and the
@@ -200,7 +215,8 @@ class AugmentedBasis:
         ps = partial_schur_closest_to_origin(self.G, min(k, self.n))
         Y = scipy.linalg.solve_triangular(self.R, ps.X)
         AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
-        return self.Q @ ps.X, AU_new
+        return RecycleState(U=self.Q @ ps.X, AU=AU_new, matrix_epoch=self.matrix_epoch,
+                            k_target=k, ritz_values=np.diagonal(ps.T).copy())
 
 
 @dataclass
@@ -253,71 +269,98 @@ def srfom_stab(Vhat, SV, SAV, Sb, f, svdtol=1e-14):
     sigma_ell >= svdtol * sigma_1 (relative form; near-unit-norm sketched
     columns make this coincide with an absolute cutoff).
     """
-    SV = np.asarray(SV)
     SAV = np.asarray(SAV)
-    dec = svd_econ(SV)
-    if dec.sigma.size == 0:
-        raise RankDeficiencyError("empty sketched basis")
-    ell = int(np.count_nonzero(dec.sigma >= svdtol * dec.sigma[0]))
-    if ell == 0:
-        raise RankDeficiencyError("all singular values below the svdtol cutoff")
-    L, sig, J = dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
+    L, sig, J = svd_truncated(SV, svdtol)
     G = (L.conj().T @ SAV @ J) / sig[np.newaxis, :]
     y = matfun_apply(f, G, L.conj().T @ np.asarray(Sb))
     coeffs = J @ (y / sig)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=ell)
+    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=sig.size)
 
 
-@dataclass
-class SketchedBundle:
-    """Working set handed from a sketched FOM step to the recycling update."""
+class SketchedBasis:
+    """Sketched working set [V_m, U] of sFOM and srFOM, grown with V_m.
 
-    Vhat: np.ndarray
-    SVhat: np.ndarray
-    SAVhat: np.ndarray
-    qr: object           # EconQR of SVhat, None when the stabilized path was used
-    fac: object
-    matrix_epoch: object
+    Each Krylov column is sketched once: extend() sketches only the columns
+    added since the previous call, and the sketch of v_next, taken for
+    S A V_m, is kept as the sketch of the column v_next becomes.  S A V_m
+    comes from the Arnoldi relation at no sketch cost.  S U and S A U come
+    from the recycling state; on a new matrix epoch S A U is formed again
+    at k matvecs and k sketches, unless the update is inexact.
+
+    Vhat, SVhat, SAVhat, qr and matrix_epoch are what update_sketched reads.
+    """
+
+    def __init__(self, A, S, recycle=None, matrix_epoch=None, counters=None,
+                 stabilized=False, svdtol=1e-14, inexact=False):
+        self.S, self.counters = S, counters
+        self.matrix_epoch = matrix_epoch
+        self.stabilized, self.svdtol = stabilized, svdtol
+        self.qr = None       # update_sketched factors SVhat itself
+        self.fac = self.SV = self.s_next = None
+        self.k = 0 if recycle is None else recycle.k
+        self.U = self.SU = self.SAU = None
+        if self.k:
+            self.U, self.SU, self.SAU = recycle.U, recycle.SU, recycle.SAU
+            if recycle.matrix_epoch != matrix_epoch and not inexact:
+                AU = np.column_stack([csr_matvec(A, self.U[:, j], counters)
+                                      for j in range(self.k)])
+                self.SAU = np.column_stack([sketch_apply(S, AU[:, j], counters)
+                                            for j in range(self.k)])
+
+    def extend(self, fac):
+        """Absorb the Krylov columns of fac not yet sketched.
+
+        fac must extend the factorization of the previous call.
+        """
+        if self.fac is None:
+            cols, first = [], 0
+        elif fac.m > self.fac.m:
+            # the previous v_next became column self.fac.m; its sketch is cached
+            cols, first = [self.s_next], self.fac.m + 1
+        else:
+            return
+        cols += [sketch_apply(self.S, fac.V[:, j], self.counters)
+                 for j in range(first, fac.m)]
+        self.SV = np.column_stack(cols if self.SV is None else [self.SV] + cols)
+        self.s_next = (None if fac.breakdown is not None
+                       else sketch_apply(self.S, fac.v_next, self.counters))
+        self.fac = fac
+        SAV = sketch_av_from_arnoldi(self.S, fac, self.SV, self.s_next)
+        if self.k:
+            self.Vhat = np.column_stack([fac.V, self.U])
+            self.SVhat = np.column_stack([self.SV, self.SU])
+            self.SAVhat = np.column_stack([SAV, self.SAU])
+        else:
+            self.Vhat, self.SVhat, self.SAVhat = fac.V, self.SV, SAV
+
+    def approximant(self, b, f):
+        """Sketched FOM approximant; S b is recovered from S v_1."""
+        Sb = np.linalg.norm(b) * self.SV[:, 0]
+        if self.stabilized:
+            return srfom_stab(self.Vhat, self.SVhat, self.SAVhat, Sb, f, svdtol=self.svdtol)
+        return sfom_whitened(self.Vhat, self.SVhat, self.SAVhat, Sb, f)
+
+    def recycle(self, k):
+        """Recycling state for the next problem by sketched Rayleigh-Ritz."""
+        if self.stabilized:
+            return update_sketched_stab(self.Vhat, self.SVhat, self.SAVhat, k,
+                                        svdtol=self.svdtol, matrix_epoch=self.matrix_epoch)
+        return update_sketched(self, k)
 
 
 def srfom_step(A, b, S, recycle, m, f, t=2, counters=None, stabilized=False,
                svdtol=1e-14, matrix_epoch=None, inexact=False):
     """One sketch-and-recycle FOM step with a truncated Arnoldi basis.
 
-    The basis sketches cost m+1 sketch applications; S b is recovered from
-    S v_1 and S A V_m from the Arnoldi relation at no sketching cost.  Cached
-    SU / SAU from the recycle state are reused when the matrix epoch matches
-    (or unconditionally in inexact mode); otherwise A U is recomputed at k
-    matvecs plus k sketches.
+    Returns the approximant and the SketchedBasis, which update_sketched
+    takes; m+1 sketches, plus k matvecs and k sketches when S A U is formed
+    again (see SketchedBasis).
     """
     b = np.asarray(b, dtype=np.complex128)
-    fac = arnoldi_build(A, b, m, mode=MODE_TRUNCATED, t=t, counters=counters)
-    SV = np.column_stack([sketch_apply(S, fac.V[:, j], counters)
-                          for j in range(fac.m)])
-    s_next = None if fac.breakdown is not None else sketch_apply(S, fac.v_next, counters)
-    SAV = sketch_av_from_arnoldi(S, fac, SV, s_next)
-    Sb = np.linalg.norm(b) * SV[:, 0]
-    if recycle is not None and recycle.k > 0:
-        U, SU, SAU = recycle.U, recycle.SU, recycle.SAU
-        if matrix_epoch is not None and recycle.matrix_epoch != matrix_epoch and not inexact:
-            AU = np.column_stack([csr_matvec(A, U[:, j], counters)
-                                  for j in range(U.shape[1])])
-            SAU = np.column_stack([sketch_apply(S, AU[:, j], counters)
-                                   for j in range(U.shape[1])])
-        Vhat = np.column_stack([fac.V, U])
-        SVhat = np.column_stack([SV, SU])
-        SAVhat = np.column_stack([SAV, SAU])
-    else:
-        Vhat, SVhat, SAVhat = fac.V, SV, SAV
-    if stabilized:
-        approx = srfom_stab(Vhat, SVhat, SAVhat, Sb, f, svdtol=svdtol)
-        qr = None
-    else:
-        approx = sfom_whitened(Vhat, SVhat, SAVhat, Sb, f)
-        qr = qr_econ(SVhat)
-    bundle = SketchedBundle(Vhat=Vhat, SVhat=SVhat, SAVhat=SAVhat, qr=qr,
-                            fac=fac, matrix_epoch=matrix_epoch)
-    return approx, bundle
+    basis = SketchedBasis(A, S, recycle, matrix_epoch, counters, stabilized=stabilized,
+                          svdtol=svdtol, inexact=inexact)
+    basis.extend(arnoldi_build(A, b, m, mode=MODE_TRUNCATED, t=t, counters=counters))
+    return basis.approximant(b, f), basis
 
 
 def gmres_type_closed(fac, b, f):
@@ -353,15 +396,9 @@ def sgmres_type(SV, SW, Sb, Vhat, f):
 def sgmres_type_stab(SV, SW, Sb, Vhat, f, svdtol=1e-14):
     """Stabilized sketched GMRES-type approximant via a truncated SVD of SW."""
     SV = np.asarray(SV)
-    dec = svd_econ(np.asarray(SW))
-    if dec.sigma.size == 0:
-        raise RankDeficiencyError("empty sketched basis")
-    ell = int(np.count_nonzero(dec.sigma >= svdtol * dec.sigma[0]))
-    if ell == 0:
-        raise RankDeficiencyError("all singular values below the svdtol cutoff")
-    L, sig, J = dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
+    L, sig, J = svd_truncated(SW, svdtol)
     K = L.conj().T @ SV @ J
     G = lu_solve(K, np.diag(sig).astype(np.complex128))
     z = lu_solve(K, L.conj().T @ np.asarray(Sb))
     coeffs = J @ matfun_apply(f, G, z)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=ell)
+    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=sig.size)

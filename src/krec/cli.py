@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .driver import build_spec, emit_csv, read_config, run_sequence, summarize
+from .driver import CONFIG_KEYS, build_spec, emit_csv, read_config, run_sequence, summarize
 from .errors import KrecError
 
 
@@ -14,56 +14,24 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a problem sequence")
     run.add_argument("--config", help="config file (key = value lines)")
-    run.add_argument("--function", choices=["invsqrt", "inv", "exp"])
-    run.add_argument("--tau", type=float, help="time step for exp")
-    run.add_argument("--method",
-                     choices=["fom", "sfom", "rfom", "srfom", "srfom-stab"])
-    run.add_argument("--m", type=int, help="fixed cycle length")
-    run.add_argument("--adaptive", action="store_true",
-                     help="grow the cycle length until the stop rule fires")
-    run.add_argument("--reltol", type=float)
-    run.add_argument("--d", type=int, help="adaptive growth increment")
-    run.add_argument("--m-max", type=int, dest="m_max")
-    run.add_argument("--k", type=int, help="recycling subspace dimension")
-    run.add_argument("--s", type=int, help="sketch dimension")
-    run.add_argument("--t", type=int, help="Arnoldi truncation length")
-    run.add_argument("--svdtol", type=float)
-    run.add_argument("--num-problems", type=int, dest="num_problems")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--matrix", help="'gen:name[:k=v,...]' or path to a .mtx file")
-    run.add_argument("--shift", help="spectral shift 're' or 're,im'")
-    run.add_argument("--perturbation", type=float,
-                     help="Gaussian perturbation scale between problems")
-    run.add_argument("--rhs", choices=["fresh", "chain"])
-    run.add_argument("--inexact-srr", action="store_true", dest="inexact_srr")
-    run.add_argument("--stop-rule", choices=["estimator", "oracle"],
-                     dest="stop_rule")
-    run.add_argument("--epsilon-mode", choices=["fixed", "tracked"],
-                     dest="epsilon_mode")
-    run.add_argument("--epsilon-value", type=float, dest="epsilon_value")
-    run.add_argument("--oracle-cap", type=int, dest="oracle_cap")
-    run.add_argument("--timing-reps", type=int, dest="timing_reps")
+    for key, entry in CONFIG_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if entry.is_switch:
+            run.add_argument(flag, dest=key, action="store_true", default=None,
+                             help=entry.help)
+        else:
+            run.add_argument(flag, dest=key, choices=entry.choices, help=entry.help)
     run.add_argument("--out", help="CSV output path")
     return parser
 
 
-_FLAG_KEYS = ("adaptive", "inexact_srr")
-
-
 def _merge_options(args):
+    """Config-file options overridden by the flags given on the command line."""
     options = read_config(args.config) if args.config else {}
-    for key in ("function", "tau", "method", "m", "reltol", "d", "m_max", "k",
-                "s", "t", "svdtol", "num_problems", "seed", "matrix", "shift",
-                "perturbation", "rhs", "stop_rule", "epsilon_mode",
-                "epsilon_value", "oracle_cap", "timing_reps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            options[key] = str(val)
-    for key in _FLAG_KEYS:
-        if getattr(args, key, False):
-            options[key] = "true"
-    if "method" in options:
-        options["method"] = options["method"].replace("-", "_")
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            options[key] = str(value)
     return options
 
 

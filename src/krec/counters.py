@@ -10,35 +10,28 @@ instrumentation tests):
 * ``sketches``: one per application of the sketching operator to a vector.
 """
 
-import threading
-
 
 class Counters:
-    """Thread-safe accumulator for matvec / inner-product / sketch counts."""
+    """Accumulator for matvec / inner-product / sketch counts."""
 
-    __slots__ = ("_lock", "matvecs", "inner_products", "sketches")
+    __slots__ = ("matvecs", "inner_products", "sketches")
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.matvecs = 0
         self.inner_products = 0
         self.sketches = 0
 
     def add_matvecs(self, n=1):
-        with self._lock:
-            self.matvecs += n
+        self.matvecs += n
 
     def add_inner_products(self, n=1):
-        with self._lock:
-            self.inner_products += n
+        self.inner_products += n
 
     def add_sketches(self, n=1):
-        with self._lock:
-            self.sketches += n
+        self.sketches += n
 
     def snapshot(self):
-        with self._lock:
-            return (self.matvecs, self.inner_products, self.sketches)
+        return (self.matvecs, self.inner_products, self.sketches)
 
     def __repr__(self):
         m, p, s = self.snapshot()

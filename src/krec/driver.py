@@ -1,24 +1,25 @@
 """Problem-sequence orchestration: configuration, run loop, oracles, CSV."""
 
+import inspect
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .approximants import (AugmentedBasis, SketchedBundle, fom_closed, sfom_whitened,
-                           srfom_stab)
-from .arnoldi import MODE_TRUNCATED, arnoldi_build, arnoldi_extend
+from .approximants import AugmentedBasis, KrylovBasis, SketchedBasis
+from .arnoldi import MODE_FULL, MODE_TRUNCATED, arnoldi_build, arnoldi_extend
 from .counters import Counters
 from .errest import estimate_diff, pad_coeffs
 from .errors import ConfigError, KrecError
 from .matfun import ScalarFunction
 from .matrices import GENERATORS, perturb_sparsity_gaussian
 from .mmio import read_matrix_market
-from .recycle import RecycleState, update_sketched, update_sketched_stab
-from .sketch import estimate_epsilon, sketch_apply, sketch_av_from_arnoldi, sketch_new
-from .sparse import csr_matvec
+from .recycle import RecycleState
+from .sketch import estimate_epsilon, sketch_new
+from .sparse import csr_matvec  # noqa: F401  seqbench's tracer test resolves it here
 
 METHODS = ("fom", "sfom", "rfom", "srfom", "srfom_stab")
 
@@ -80,15 +81,13 @@ class SequenceSpec:
             raise ConfigError(f"unknown rhs rule {self.rhs_rule!r}")
         if self.stop_rule not in ("estimator", "oracle"):
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
-        sketched = self.method in ("sfom", "srfom", "srfom_stab")
         m_top = self.m.m_max if isinstance(self.m, AdaptiveM) else self.m
-        if sketched:
+        if self.uses_sketching:
             if self.s <= 0:
                 raise ConfigError("sketched methods require s > 0")
             if m_top >= self.s:
                 raise ConfigError("need m < s for sketched methods")
-        recycled = self.method in ("rfom", "srfom", "srfom_stab")
-        if recycled and not 0 <= self.k < m_top:
+        if self.uses_recycling and not 0 <= self.k < m_top:
             raise ConfigError("need 0 <= k < m for recycled methods")
 
     @property
@@ -125,7 +124,15 @@ def load_matrix(source, shift=0.0):
             gen = GENERATORS[source.name]
         except KeyError:
             raise ConfigError(f"unknown generator {source.name!r}") from None
-        A = gen(**source.params)
+        try:
+            A = gen(**source.params)
+        except TypeError:
+            # a parameter the generator does not take is a configuration error
+            try:
+                inspect.signature(gen).bind(**source.params)
+            except TypeError as exc:
+                raise ConfigError(f"generator {source.name!r}: {exc}") from None
+            raise
     else:
         raise ConfigError(f"unsupported matrix source {source!r}")
     if shift != 0:
@@ -182,76 +189,43 @@ def oracle_exact(A, b, f, cap=1500):
     return oracle.solve(np.asarray(b, dtype=np.complex128))
 
 
-class _SketchedKrylov:
-    """Truncated Arnoldi factorization with incrementally maintained sketches."""
-
-    def __init__(self, A, b, m, t, S, counters):
-        self.A = A
-        self.S = S
-        self.counters = counters
-        self.fac = arnoldi_build(A, b, m, mode=MODE_TRUNCATED, t=t, counters=counters)
-        self.SV = np.column_stack([
-            sketch_apply(S, self.fac.V[:, j], counters) for j in range(self.fac.m)
-        ])
-        self.s_next = (None if self.fac.breakdown is not None
-                       else sketch_apply(S, self.fac.v_next, counters))
-
-    def extend(self, m_new):
-        if self.fac.breakdown is not None or m_new <= self.fac.m:
-            return
-        old_m = self.fac.m
-        old_s_next = self.s_next
-        self.fac = arnoldi_extend(self.fac, self.A, m_new, self.counters)
-        cols = [old_s_next]  # old v_next became column old_m; its sketch is cached
-        cols += [sketch_apply(self.S, self.fac.V[:, j], self.counters)
-                 for j in range(old_m + 1, self.fac.m)]
-        self.SV = np.column_stack([self.SV] + cols)
-        self.s_next = (None if self.fac.breakdown is not None
-                       else sketch_apply(self.S, self.fac.v_next, self.counters))
-
-    def sav(self):
-        return sketch_av_from_arnoldi(self.S, self.fac, self.SV, self.s_next)
+def _new_basis(spec, A, S, recycle, epoch, counters):
+    """The working basis of one problem, seeded with the recycling state."""
+    if spec.uses_sketching:
+        return SketchedBasis(A, S, recycle, epoch, counters,
+                             stabilized=spec.method == "srfom_stab",
+                             svdtol=spec.svdtol, inexact=spec.inexact_srr)
+    if spec.uses_recycling:
+        if recycle.matrix_epoch != epoch:
+            recycle.AU = None  # stale; let it go before A U is formed again
+        return AugmentedBasis(A, recycle.U, recycle.AU, counters, matrix_epoch=epoch)
+    return KrylovBasis(counters)
 
 
-def _run_fom_like(spec, A, b, U, AU, counters, oracle):
-    """Fixed or adaptive FOM / rFOM on one problem.
+def _solve(spec, A, b, basis, counters, oracle):
+    """Fixed or adaptive solve of one problem: extend the basis, extract, test.
 
-    rFOM keeps one AugmentedBasis across the adaptive steps, so A U is formed
-    at most once per problem.  Returns (approximant, the AugmentedBasis for
-    rFOM or None for FOM, record fields dict).
+    Returns (approximant, m_used, converged, last estimate).
     """
-    f = spec.function
     adaptive = isinstance(spec.m, AdaptiveM)
     m = spec.m.d if adaptive else spec.m
-    info = {"converged": True, "estimate": None}
-    aug = AugmentedBasis(A, U, AU, counters) if spec.method == "rfom" else None
-    prev_coeffs = None
-    fac = None
+    mode = MODE_TRUNCATED if spec.uses_sketching else MODE_FULL
+    prev_coeffs = fac = None
     while True:
-        fac = (arnoldi_build(A, b, m, counters=counters) if fac is None
-               else arnoldi_extend(fac, A, m, counters=counters))
-        if aug is None:
-            approx = fom_closed(fac.V, fac.square_h(), b, f, counters)
-        else:
-            aug.extend(fac)
-            approx = aug.approximant(b, f)
-        m_used = fac.m
+        fac = (arnoldi_build(A, b, m, mode=mode, t=spec.t, counters=counters)
+               if fac is None else arnoldi_extend(fac, A, m, counters=counters))
+        basis.extend(fac)
+        approx = basis.approximant(b, spec.function)
         if not adaptive:
-            info["m_used"] = m_used
-            return approx, aug, info
-        stop, est = _check_stop(spec, approx, prev_coeffs, oracle, b,
-                                sketched=False)
-        info["estimate"] = est
-        if stop or m_used < m or m >= spec.m.m_max:
-            info["m_used"] = m_used
-            info["converged"] = stop or m_used < m  # breakdown is exact
-            return approx, aug, info
+            return approx, fac.m, True, None
+        stop, est = _check_stop(spec, approx, prev_coeffs, oracle, b, basis)
+        if stop or fac.m < m or m >= spec.m.m_max:
+            return approx, fac.m, stop or fac.m < m, est  # breakdown is exact
         prev_coeffs = approx.coeffs
         m = min(m + spec.m.d, spec.m.m_max)
 
 
-def _check_stop(spec, approx, prev_coeffs, oracle, b, sketched, skry=None,
-                aug_cols=0, SVhat=None):
+def _check_stop(spec, approx, prev_coeffs, oracle, b, basis):
     """Evaluate the configured stopping rule; returns (stop, recorded estimate)."""
     if spec.stop_rule == "oracle":
         exact = oracle.solve(b)
@@ -262,75 +236,21 @@ def _check_stop(spec, approx, prev_coeffs, oracle, b, sketched, skry=None,
     if prev_coeffs is None:
         return False, None
     y_big = approx.coeffs
-    if sketched:
-        m_high = y_big.shape[0] - aug_cols
-        m_low = prev_coeffs.shape[0] - aug_cols
-        padded = pad_coeffs(prev_coeffs, m_low, m_high, aug_cols)
+    # new Krylov coefficients sit before the k sketched augmentation ones
+    # and at the end of an orthonormal basis of [U, V_m]
+    k = basis.k if spec.uses_sketching else 0
+    m_high, m_low = y_big.shape[0] - k, prev_coeffs.shape[0] - k
+    padded = pad_coeffs(prev_coeffs, m_low, m_high, k)
+    if spec.uses_sketching:
         eps = (float(spec.epsilon_value) if spec.epsilon_mode == "fixed"
-               else estimate_epsilon(skry.S, list(skry.fac.V.T), sketched=list(skry.SV.T)))
-        est = estimate_diff(SVhat, y_big, padded, eps, m_low=m_low, m_high=m_high)
-        scale = np.linalg.norm(SVhat @ y_big) / np.sqrt(1.0 - eps)
-        rel = est.value / scale if scale > 0 else np.inf
+               else estimate_epsilon(basis.S, list(basis.fac.V.T), sketched=list(basis.SV.T)))
+        diff = estimate_diff(basis.SVhat, y_big, padded, eps, m_low=m_low, m_high=m_high).value
+        scale = np.linalg.norm(basis.SVhat @ y_big) / np.sqrt(1.0 - eps)
     else:
         # orthonormal working basis: exact coefficient-space norms, eps = 0
-        padded = np.concatenate([prev_coeffs,
-                                 np.zeros(y_big.shape[0] - prev_coeffs.shape[0],
-                                          dtype=y_big.dtype)])
-        diff = np.linalg.norm(y_big - padded)
-        scale = np.linalg.norm(y_big)
-        rel = diff / scale if scale > 0 else np.inf
+        diff, scale = np.linalg.norm(y_big - padded), np.linalg.norm(y_big)
+    rel = diff / scale if scale > 0 else np.inf
     return rel <= spec.m.reltol, float(rel)
-
-
-def _run_sketched(spec, A, b, S, recycle, counters, oracle, matrix_epoch):
-    """Fixed or adaptive sketched FOM / srFOM on one problem."""
-    f = spec.function
-    adaptive = isinstance(spec.m, AdaptiveM)
-    m = spec.m.d if adaptive else spec.m
-    stabilized = spec.method == "srfom_stab"
-    use_recycle = spec.uses_recycling and recycle is not None and recycle.k > 0
-    skry = _SketchedKrylov(A, b, m, spec.t, S, counters)
-    SU = SAU = U = None
-    if use_recycle:
-        U, SU, SAU = recycle.U, recycle.SU, recycle.SAU
-        if recycle.matrix_epoch != matrix_epoch and not spec.inexact_srr:
-            AU = np.column_stack([csr_matvec(A, U[:, j], counters)
-                                  for j in range(U.shape[1])])
-            SAU = np.column_stack([sketch_apply(S, AU[:, j], counters)
-                                   for j in range(U.shape[1])])
-    aug_cols = U.shape[1] if use_recycle else 0
-    info = {"converged": True, "estimate": None, "ell": None}
-    prev_coeffs = None
-    while True:
-        SAV = skry.sav()
-        beta = np.linalg.norm(b)
-        Sb = beta * skry.SV[:, 0]
-        if use_recycle:
-            Vhat = np.column_stack([skry.fac.V, U])
-            SVhat = np.column_stack([skry.SV, SU])
-            SAVhat = np.column_stack([SAV, SAU])
-        else:
-            Vhat, SVhat, SAVhat = skry.fac.V, skry.SV, SAV
-        if stabilized:
-            approx = srfom_stab(Vhat, SVhat, SAVhat, Sb, f, svdtol=spec.svdtol)
-            info["ell"] = approx.ell
-        else:
-            approx = sfom_whitened(Vhat, SVhat, SAVhat, Sb, f)
-        m_used = skry.fac.m
-        if not adaptive:
-            info["m_used"] = m_used
-            return approx, (Vhat, SVhat, SAVhat), info
-        stop, est = _check_stop(spec, approx, prev_coeffs, oracle, b,
-                                sketched=True, skry=skry, aug_cols=aug_cols,
-                                SVhat=SVhat)
-        info["estimate"] = est
-        if stop or m_used < m or m >= spec.m.m_max:
-            info["m_used"] = m_used
-            info["converged"] = stop or m_used < m
-            return approx, (Vhat, SVhat, SAVhat), info
-        prev_coeffs = approx.coeffs
-        m = min(m + spec.m.d, spec.m.m_max)
-        skry.extend(m)
 
 
 def _run_once(spec, A0):
@@ -345,9 +265,6 @@ def _run_once(spec, A0):
     A = A0
     epoch = 0
     recycle = RecycleState.empty(N, k_target=spec.k)
-    U = None            # rFOM recycling basis
-    AU_cache = None     # exact A @ U for the current epoch
-    au_epoch = None
     b_next = None
     records = []
     for i in range(spec.num_problems):
@@ -364,45 +281,17 @@ def _run_once(spec, A0):
                         matvecs=0, inner_products=0, sketches=0)
         t0 = time.perf_counter()
         try:
-            if spec.method in ("fom", "rfom"):
-                if spec.method == "rfom" and au_epoch != epoch:
-                    AU_cache = None
-                approx, aug, info = _run_fom_like(
-                    spec, A, b, U if spec.method == "rfom" else None,
-                    AU_cache, counters, oracle)
-                if spec.method == "rfom" and spec.k > 0:
-                    # a failed subspace update must not void a finished solve:
-                    # fall back to the previous recycling state
-                    try:
-                        U, AU_cache = aug.recycle(spec.k)
-                        au_epoch = epoch
-                    except KrecError as exc:
-                        warnings.warn(f"recycling update skipped: {exc}",
-                                      stacklevel=2)
-            else:
-                approx, hats, info = _run_sketched(
-                    spec, A, b, S, recycle if spec.uses_recycling else None,
-                    counters, oracle, epoch)
-                if spec.uses_recycling and spec.k > 0:
-                    Vhat, SVhat, SAVhat = hats
-                    try:
-                        if spec.method == "srfom_stab":
-                            recycle = update_sketched_stab(
-                                Vhat, SVhat, SAVhat, spec.k, svdtol=spec.svdtol,
-                                matrix_epoch=epoch)
-                        else:
-                            recycle = update_sketched(
-                                SketchedBundle(Vhat=Vhat, SVhat=SVhat,
-                                               SAVhat=SAVhat, qr=None, fac=None,
-                                               matrix_epoch=epoch),
-                                spec.k)
-                    except KrecError as exc:
-                        warnings.warn(f"recycling update skipped: {exc}",
-                                      stacklevel=2)
-            rec.m_used = info["m_used"]
-            rec.converged = info["converged"]
-            rec.estimate_final = info.get("estimate")
-            rec.ell_used = info.get("ell")
+            basis = _new_basis(spec, A, S, recycle, epoch, counters)
+            approx, rec.m_used, rec.converged, rec.estimate_final = _solve(
+                spec, A, b, basis, counters, oracle)
+            rec.ell_used = approx.ell
+            if spec.uses_recycling and spec.k > 0:
+                # a failed subspace update must not void a finished solve:
+                # fall back to the previous recycling state
+                try:
+                    recycle = basis.recycle(spec.k)
+                except KrecError as exc:
+                    warnings.warn(f"recycling update skipped: {exc}", stacklevel=2)
         except KrecError as exc:
             rec.converged = False
             rec.error = f"{type(exc).__name__}: {exc}"
@@ -420,7 +309,7 @@ def _run_once(spec, A0):
             b_next = None  # restart the chain after a failure
         records.append(rec)
         # let the previous problem's bases go before the next problem is solved
-        approx = aug = None
+        approx = basis = None
     return records
 
 
@@ -486,15 +375,29 @@ def parse_matrix_source(text):
     raise ConfigError(f"matrix source must be 'gen:...' or a .mtx path, got {text!r}")
 
 
-def _parse_number(text):
+def _parse_int(text):
     try:
         return int(text)
     except ValueError:
-        pass
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
+def _parse_float(text):
     try:
         return float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+
+
+def _parse_number(text):
+    try:
+        return int(text)
+    except ValueError:
+        return _parse_float(text)
+
+
+def _parse_method(text):
+    return text.replace("-", "_")
 
 
 def _parse_complex(text):
@@ -535,53 +438,84 @@ def read_config(path):
     return options
 
 
-_CONFIG_KEYS = {
-    "function", "tau", "method", "num_problems", "m", "adaptive", "reltol",
-    "d", "m_max", "k", "s", "t", "svdtol", "seed", "matrix", "shift",
-    "perturbation", "rhs", "inexact_srr", "stop_rule", "epsilon_mode",
-    "epsilon_value", "oracle_cap", "timing_reps",
+class ConfigKey(NamedTuple):
+    """A config key: its parser, the values the command line offers, help text."""
+
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple | None = None
+
+    @property
+    def is_switch(self):
+        """Booleans are bare flags on the command line."""
+        return self.parse is _parse_bool
+
+
+# every config key; its command-line flag is --<key> with '-' for '_'
+CONFIG_KEYS = {
+    "function": ConfigKey(str, "scalar function f", ("invsqrt", "inv", "exp")),
+    "tau": ConfigKey(_parse_float, "time step for exp"),
+    "method": ConfigKey(_parse_method, "solver",
+                        ("fom", "sfom", "rfom", "srfom", "srfom-stab")),
+    "num_problems": ConfigKey(_parse_int, "number of problems in the sequence"),
+    "m": ConfigKey(_parse_int, "fixed cycle length"),
+    "adaptive": ConfigKey(_parse_bool, "grow the cycle length until the stop rule fires"),
+    "reltol": ConfigKey(_parse_float, "tolerance of the adaptive stop rule"),
+    "d": ConfigKey(_parse_int, "adaptive growth increment"),
+    "m_max": ConfigKey(_parse_int, "largest adaptive cycle length"),
+    "k": ConfigKey(_parse_int, "recycling subspace dimension"),
+    "s": ConfigKey(_parse_int, "sketch dimension"),
+    "t": ConfigKey(_parse_int, "Arnoldi truncation length"),
+    "svdtol": ConfigKey(_parse_float, "relative singular value cutoff of srfom-stab"),
+    "seed": ConfigKey(_parse_int, "seed of right-hand sides, perturbations and sketch"),
+    "matrix": ConfigKey(parse_matrix_source, "'gen:name[:k=v,...]' or path to a .mtx file"),
+    "shift": ConfigKey(_parse_complex, "spectral shift 're' or 're,im'"),
+    "perturbation": ConfigKey(_parse_float, "Gaussian perturbation scale between problems"),
+    "rhs": ConfigKey(str, "right-hand side rule", ("fresh", "chain")),
+    "inexact_srr": ConfigKey(_parse_bool, "keep the cached S A U on a new matrix"),
+    "stop_rule": ConfigKey(str, "adaptive stop rule", ("estimator", "oracle")),
+    "epsilon_mode": ConfigKey(str, "embedding constant of the estimator", ("fixed", "tracked")),
+    "epsilon_value": ConfigKey(_parse_float, "fixed embedding constant"),
+    "oracle_cap": ConfigKey(_parse_int, "largest N given a dense reference solution"),
+    "timing_reps": ConfigKey(_parse_int, "sequence repetitions averaged for wall time"),
 }
+
+
+_SPEC_FIELD = {"rhs": "rhs_rule", "matrix": "matrix_source"}
+
+
+def _parse_option(key, text):
+    parse, _, choices = CONFIG_KEYS[key]
+    try:
+        value = parse(text)
+        if choices and value not in [parse(c) for c in choices]:
+            raise ConfigError(f"expected one of {', '.join(choices)}, got {text!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+    return value
 
 
 def build_spec(options):
     """Construct a SequenceSpec from string-valued config options."""
-    unknown = set(options) - _CONFIG_KEYS
+    unknown = set(options) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for key in ("function", "method", "matrix"):
         if key not in options:
             raise ConfigError(f"missing required key {key!r}")
-    tau = float(options.get("tau", 1.0))
-    function = ScalarFunction(options["function"], tau=tau)
-    if _parse_bool(options.get("adaptive", "false")):
-        m = AdaptiveM(reltol=float(options.get("reltol", 1e-8)),
-                      d=int(options.get("d", 10)),
-                      m_max=int(options.get("m_max", 300)))
+    values = {key: _parse_option(key, text) for key, text in options.items()}
+    get = values.get
+    if get("adaptive", False):
+        m = AdaptiveM(reltol=get("reltol", 1e-8), d=get("d", 10), m_max=get("m_max", 300))
+    elif "m" in values:
+        m = values["m"]
     else:
-        if "m" not in options:
-            raise ConfigError("fixed cycle length requires key 'm'")
-        m = int(options["m"])
-    return SequenceSpec(
-        function=function,
-        method=options["method"].replace("-", "_"),
-        num_problems=int(options.get("num_problems", 1)),
-        m=m,
-        matrix_source=parse_matrix_source(options["matrix"]),
-        k=int(options.get("k", 0)),
-        s=int(options.get("s", 0)),
-        t=int(options.get("t", 2)),
-        svdtol=float(options.get("svdtol", 1e-14)),
-        seed=int(options.get("seed", 0)),
-        shift=_parse_complex(options.get("shift", "0")),
-        perturbation=float(options.get("perturbation", 0.0)),
-        rhs_rule=options.get("rhs", "fresh"),
-        inexact_srr=_parse_bool(options.get("inexact_srr", "false")),
-        stop_rule=options.get("stop_rule", "estimator"),
-        epsilon_mode=options.get("epsilon_mode", "fixed"),
-        epsilon_value=float(options.get("epsilon_value", 0.99)),
-        oracle_cap=int(options.get("oracle_cap", 1500)),
-        timing_reps=int(options.get("timing_reps", 3)),
-    )
+        raise ConfigError("fixed cycle length requires key 'm'")
+    # every other key sets the SequenceSpec field of its name, or of this one
+    fields = {_SPEC_FIELD.get(key, key): value for key, value in values.items()
+              if key not in ("function", "tau", "m", "adaptive", "reltol", "d", "m_max")}
+    return SequenceSpec(**{"num_problems": 1, **fields}, m=m,
+                        function=ScalarFunction(values["function"], tau=get("tau", 1.0)))
 
 
 def summarize(records):

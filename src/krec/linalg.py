@@ -15,6 +15,7 @@ from .errors import (
     DefectiveClusterError,
     DimensionMismatchError,
     EigConvergenceError,
+    RankDeficiencyError,
     SingularMatrixError,
 )
 
@@ -71,6 +72,21 @@ def svd_econ(M):
     M = _as_complex_matrix(M)
     L, sigma, Jh = np.linalg.svd(M, full_matrices=False)
     return EconSVD(L=L, sigma=sigma, J=Jh.conj().T)
+
+
+def svd_truncated(M, svdtol):
+    """SVD of M cut at the largest ell with sigma_ell >= svdtol * sigma_1.
+
+    Returns (L, sigma, J) with ell columns; raises RankDeficiencyError when
+    nothing is left.
+    """
+    dec = svd_econ(M)
+    if dec.sigma.size == 0:
+        raise RankDeficiencyError("empty sketched basis")
+    ell = int(np.count_nonzero(dec.sigma >= svdtol * dec.sigma[0]))
+    if ell == 0:
+        raise RankDeficiencyError("all singular values below the svdtol cutoff")
+    return dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
 
 
 def eig_dense(M):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, EpochMismatchError, RankDeficiencyError
-from .linalg import partial_schur_closest_to_origin, svd_econ
+from .linalg import partial_schur_closest_to_origin, qr_econ, svd_truncated
 
 
 @dataclass
@@ -63,19 +63,11 @@ def update_sketched(bundle, k):
     U, SU and SAU are all obtained by right-multiplying the cached working-set
     matrices with the Schur basis X; no sketches or matvecs are performed.
     """
-    from .linalg import qr_econ  # local import to keep module deps one-way
-
     qr = bundle.qr if bundle.qr is not None else qr_econ(bundle.SVhat)
     M = srr_matrix(qr, bundle.SAVhat)
     ps = partial_schur_closest_to_origin(M, min(k, M.shape[0]))
-    return RecycleState(
-        U=bundle.Vhat @ ps.X,
-        SU=bundle.SVhat @ ps.X,
-        SAU=bundle.SAVhat @ ps.X,
-        matrix_epoch=bundle.matrix_epoch,
-        k_target=k,
-        ritz_values=np.diagonal(ps.T).copy(),
-    )
+    return _sketched_state(bundle.Vhat, bundle.SVhat, bundle.SAVhat, ps.X, ps, k,
+                           bundle.matrix_epoch)
 
 
 def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None):
@@ -86,27 +78,20 @@ def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None
     valid because Sigma is diagonal positive.  If fewer than k singular values
     survive the cutoff, k is reduced with a warning.
     """
-    dec = svd_econ(np.asarray(SVhat))
-    if dec.sigma.size == 0:
-        raise RankDeficiencyError("empty sketched basis")
-    ell = int(np.count_nonzero(dec.sigma >= svdtol * dec.sigma[0]))
-    if ell == 0:
-        raise RankDeficiencyError("all singular values below the svdtol cutoff")
-    if ell < k:
-        warnings.warn(f"stabilized update reduced k from {k} to {ell}", stacklevel=2)
-        k = ell
-    L, sig, J = dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
+    L, sig, J = svd_truncated(SVhat, svdtol)
+    if sig.size < k:
+        warnings.warn(f"stabilized update reduced k from {k} to {sig.size}", stacklevel=2)
+        k = sig.size
     M = (L.conj().T @ np.asarray(SAVhat) @ J) / sig[:, np.newaxis]
     ps = partial_schur_closest_to_origin(M, k)
-    JX = J @ ps.X
-    return RecycleState(
-        U=np.asarray(Vhat) @ JX,
-        SU=np.asarray(SVhat) @ JX,
-        SAU=np.asarray(SAVhat) @ JX,
-        matrix_epoch=matrix_epoch,
-        k_target=k,
-        ritz_values=np.diagonal(ps.T).copy(),
-    )
+    return _sketched_state(Vhat, SVhat, SAVhat, J @ ps.X, ps, k, matrix_epoch)
+
+
+def _sketched_state(Vhat, SVhat, SAVhat, X, ps, k, matrix_epoch):
+    """The state spanned by Vhat X: U, S U and S A U by right-multiplication."""
+    return RecycleState(U=np.asarray(Vhat) @ X, SU=np.asarray(SVhat) @ X,
+                        SAU=np.asarray(SAVhat) @ X, matrix_epoch=matrix_epoch,
+                        k_target=k, ritz_values=np.diagonal(ps.T).copy())
 
 
 def propagate_AU(prev_AU, fac, X_kry, X_aug):

@@ -40,7 +40,7 @@ def sketch_new(N, s, seed):
     """Draw a seeded sketching operator; identical seeds give identical operators."""
     pad = _next_pow2(N)
     if not 0 < s <= pad:
-        raise ValueError(f"sketch dimension s={s} must be in (0, {pad}]")
+        raise DimensionMismatchError(f"sketch dimension s={s} must be in (0, {pad}]")
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=N) * 2.0 - 1.0
     rows = np.sort(rng.choice(pad, size=s, replace=False))

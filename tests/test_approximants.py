@@ -219,7 +219,8 @@ class TestAugmentedBasis:
         fac = arnoldi_build(A, b, 10)
         aug.extend(fac)
         aug.extend(arnoldi_extend(fac, A, 20))
-        U_new, AU_new = aug.recycle(4)
+        state = aug.recycle(4)
+        U_new, AU_new = state.U, state.AU
         assert U_new.shape == (70, 4)
         np.testing.assert_allclose(U_new.conj().T @ U_new, np.eye(4), atol=1e-12)
         want = A.to_dense() @ U_new

@@ -62,19 +62,33 @@ def test_flags_only_no_config(tmp_path):
 
 
 def test_error_exit_code(tmp_path, capsys):
-    cfg = _cfg(tmp_path, "function = inv\nmethod = sfom\n"
-                         "matrix = gen:hpd:N=50\nm = 10\n")
-    code = main(["run", "--config", cfg])
-    assert code == 1
-    assert "error" in capsys.readouterr().err.lower()
+    # (config text, what the error line must name); malformed values are
+    # errors on record, not tracebacks
+    good = "function = inv\nmethod = fom\nmatrix = gen:hpd:N=50\nm = 10\n"
+    cases = [
+        (good.replace("method = fom", "method = sfom"), "error"),
+        (good.replace("m = 10", "m = abc"), "'m'"),
+        (good.replace("method = fom", "method = rfom") + "k = 1.5\n", "'k'"),
+        (good.replace("function = inv", "function = sqrt"), "'function'"),
+        (good.replace("method = fom", "method = sfom") + "s = 100\n", "s=100"),
+    ]
+    for text, name in cases:
+        code = main(["run", "--config", _cfg(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and name in err
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
     cfg = _cfg(tmp_path, "function = inv\nmethod = fom\n"
                          "matrix = gen:hpd:N=50\nm = 10\nbogus = 1\n")
-    code = main(["run", "--config", cfg])
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
+    flags = ["--function", "inv", "--method", "fom", "--m", "10",
+             "--matrix", "gen:hpd:N=50,bogus=1"]
+    for argv in (["--config", cfg], flags):
+        code = main(["run"] + argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "bogus" in err
 
 
 def test_missing_subcommand_errors():

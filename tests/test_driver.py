@@ -9,6 +9,7 @@ from krec import (
     INVSQRT,
     AdaptiveM,
     ConfigError,
+    Counters,
     GeneratorSource,
     MatrixMarketSource,
     SequenceSpec,
@@ -18,8 +19,12 @@ from krec import (
     load_matrix,
     oracle_exact,
     parse_matrix_source,
+    perturb_sparsity_gaussian,
     read_config,
     run_sequence,
+    sketch_new,
+    srfom_step,
+    update_sketched,
 )
 from krec.driver import CSV_HEADER, summarize
 from krec.matrices import gen_hpd
@@ -179,6 +184,61 @@ class TestRunSequence:
         recs = run_sequence(spec)
         assert len(recs) == 2
         assert all(r.error is not None and not r.converged for r in recs)
+
+
+_GOLDEN_SPEC = dict(
+    function=INVSQRT, num_problems=4, perturbation=1e-8, seed=1, t=4, timing_reps=1,
+    matrix_source=GeneratorSource("twocluster", {"N": 64, "nsmall": 6, "seed": 2}),
+)
+# per-problem (m_used, matvecs, inner_products, sketches) of each method on
+# the sequence above with AdaptiveM(reltol=1e-6, d=5, m_max=60)
+_GOLDEN = [
+    ("fom", {}, [(50, 51, 2925, 0)] * 4),
+    ("sfom", {"s": 64}, [(50, 51, 244, 51)] * 4),
+    ("rfom", {"k": 4}, [(50, 51, 4200, 0)] + [(30, 35, 1714, 0)] * 3),
+    ("srfom", {"k": 4, "s": 64},
+     [(50, 51, 244, 51), (35, 40, 169, 40)] + [(30, 35, 144, 35)] * 2),
+    ("srfom_stab", {"k": 4, "s": 64}, [(50, 51, 244, 51)] + [(30, 35, 144, 35)] * 3),
+    ("srfom", {"k": 4, "s": 64, "inexact_srr": True},
+     [(50, 51, 244, 51), (35, 36, 169, 36)] + [(30, 31, 144, 31)] * 2),
+]
+
+
+class TestGoldenCounters:
+    def test_adaptive_perturbed_sequence(self):
+        for method, extra, want in _GOLDEN:
+            recs = run_sequence(SequenceSpec(
+                method=method, m=AdaptiveM(reltol=1e-6, d=5, m_max=60),
+                **_GOLDEN_SPEC, **extra))
+            got = [(r.m_used, r.matvecs, r.inner_products, r.sketches) for r in recs]
+            assert got == want, (method, extra)
+            assert all(r.converged for r in recs)
+
+    def test_srfom_step_chain_equals_driver(self):
+        # srfom_step then update_sketched, problem after problem, is the
+        # driver's fixed-m srfom: same counters, same relative errors
+        m, k = 20, 4
+        spec = SequenceSpec(**dict(_GOLDEN_SPEC, num_problems=2), method="srfom",
+                            m=m, k=k, s=64)
+        recs = run_sequence(spec)
+        A = load_matrix(spec.matrix_source)
+        N = A.nrows
+        rng_rhs = np.random.default_rng([spec.seed, 1])
+        pert_seeds = np.random.default_rng([spec.seed, 2]).integers(0, 2**62, size=2)
+        S = sketch_new(N, spec.s, spec.seed)
+        state = None
+        for i, rec in enumerate(recs):
+            if i > 0:
+                A = perturb_sparsity_gaussian(A, spec.perturbation, int(pert_seeds[i]))
+            b = (rng_rhs.standard_normal(N) + 1j * rng_rhs.standard_normal(N)) / np.sqrt(2.0)
+            c = Counters()
+            approx, basis = srfom_step(A, b, S, state, m, spec.function, t=spec.t,
+                                       counters=c, matrix_epoch=i)
+            state = update_sketched(basis, k)
+            assert c.snapshot() == (rec.matvecs, rec.inner_products, rec.sketches)
+            exact = oracle_exact(A, b, spec.function)
+            relerr = np.linalg.norm(approx.full_vector() - exact) / np.linalg.norm(exact)
+            assert relerr == rec.relerr
 
 
 class TestSpecValidation:

@@ -22,7 +22,6 @@ from krec import (
     update_sketched,
     update_sketched_stab,
 )
-from krec.approximants import SketchedBundle
 from krec.errors import EpochMismatchError
 from krec.matrices import perturb_sparsity_gaussian
 
