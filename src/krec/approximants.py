@@ -244,13 +244,17 @@ def rfom_step(A, b, U, m, f, AU=None, counters=None):
                       R=aug.R, fac=fac, k_used=aug.k)
 
 
-def sfom_whitened(Vhat, SV, SAV, Sb, f):
-    """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV."""
+def sfom_whitened(Vhat, SV, SAV, Sb, f, qr=None):
+    """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV.
+
+    qr is the QR of SV when the caller has already taken it.
+    """
     SV = np.asarray(SV)
     SAV = np.asarray(SAV)
     if SV.shape != SAV.shape:
         raise DimensionMismatchError("SV and SAV must have equal shapes")
-    qr = qr_econ(SV)
+    if qr is None:
+        qr = qr_econ(SV)
     d = np.abs(np.diagonal(qr.R))
     if d.size and (d.min() <= _RANK_TOL * d.max()):
         raise RankDeficiencyError(
@@ -295,7 +299,10 @@ class SketchedBasis:
         self.S, self.counters = S, counters
         self.matrix_epoch = matrix_epoch
         self.stabilized, self.svdtol = stabilized, svdtol
-        self.qr = None       # update_sketched factors SVhat itself
+        # the unstabilized approximant's QR of SVhat, kept for the recycling
+        # update when one follows (not for sFOM, whose k_target is 0)
+        self.qr = None
+        self.keeps_qr = recycle is not None and recycle.k_target > 0
         self.fac = self.SV = self.s_next = None
         self.k = 0 if recycle is None else recycle.k
         self.U = self.SU = self.SAU = None
@@ -324,7 +331,7 @@ class SketchedBasis:
         self.SV = np.column_stack(cols if self.SV is None else [self.SV] + cols)
         self.s_next = (None if fac.breakdown is not None
                        else sketch_apply(self.S, fac.v_next, self.counters))
-        self.fac = fac
+        self.fac, self.qr = fac, None
         SAV = sketch_av_from_arnoldi(self.S, fac, self.SV, self.s_next)
         if self.k:
             self.Vhat = np.column_stack([fac.V, self.U])
@@ -338,7 +345,10 @@ class SketchedBasis:
         Sb = np.linalg.norm(b) * self.SV[:, 0]
         if self.stabilized:
             return srfom_stab(self.Vhat, self.SVhat, self.SAVhat, Sb, f, svdtol=self.svdtol)
-        return sfom_whitened(self.Vhat, self.SVhat, self.SAVhat, Sb, f)
+        qr = self.qr if self.qr is not None else qr_econ(self.SVhat)
+        if self.keeps_qr:
+            self.qr = qr
+        return sfom_whitened(self.Vhat, self.SVhat, self.SAVhat, Sb, f, qr=qr)
 
     def recycle(self, k):
         """Recycling state for the next problem by sketched Rayleigh-Ritz."""

@@ -81,6 +81,8 @@ class SequenceSpec:
             raise ConfigError(f"unknown rhs rule {self.rhs_rule!r}")
         if self.stop_rule not in ("estimator", "oracle"):
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
+        if self.epsilon_mode not in ("fixed", "tracked"):
+            raise ConfigError(f"unknown epsilon mode {self.epsilon_mode!r}")
         m_top = self.m.m_max if isinstance(self.m, AdaptiveM) else self.m
         if self.uses_sketching:
             if self.s <= 0:

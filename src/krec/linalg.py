@@ -107,6 +107,17 @@ def eig_dense(M):
     return lam, W
 
 
+def eigvals_dense(M):
+    """Eigenvalues of a small square matrix, without eigenvectors."""
+    M = _as_complex_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise DimensionMismatchError("eigvals_dense requires a square matrix")
+    try:
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigConvergenceError(str(exc)) from exc
+
+
 def partial_schur_closest_to_origin(M, k, rank_tol=1e-10):
     """Partial Schur form M X = X T for the k eigenvalues of smallest modulus.
 

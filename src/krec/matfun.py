@@ -5,12 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, DomainError, IllConditionedError
-from .linalg import eig_dense, lu_solve
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    IllConditionedError,
+    SingularMatrixError,
+)
+from .linalg import eig_dense, eigvals_dense, lu_solve
 
 _DOMAIN_TOL = 1e-12
 _EXP_FALLBACK_COND = 1e8
 _FAIL_COND = 1e12
+_CERT_SAFETY = 10.0  # margin of the LU spectrum certificate of inv
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,45 @@ def _eig_with_cond(H):
     return lam, W, cond
 
 
-def matfun(f, H):
-    """Evaluate f(H) for a small square matrix H via diagonalization.
+def _inv_solve(f, H, B):
+    """H^{-1} B for inv by one partial-pivoted LU of H, with no diagonalization.
 
-    For the exponential, a scaling-and-squaring Pade evaluation is used when
-    the eigenvector matrix is too ill-conditioned; for invsqrt/inv there is
-    no fallback and severe ill-conditioning raises.
+    The same LU gives H^{-1}, whose Frobenius norm bounds the spectrum away
+    from 0: every eigenvalue has |lambda| >= sigma_min(H) >= 1/||H^{-1}||_F.
+    The bound must clear the domain tolerance plus the backward error
+    n eps ||H||_F of computed eigenvalues, with a margin of _CERT_SAFETY for
+    the rounding in H^{-1}.  When it does not, or the LU has a zero pivot,
+    the eigenvalues alone decide, as for the other functions; a non-finite H
+    never clears the bound, and eigvals_dense raises on it.
+    """
+    n = H.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    try:
+        Y = lu_solve(H, eye if B is None else np.column_stack([B, eye]))
+    except SingularMatrixError:
+        f.check_spectrum(eigvals_dense(H))
+        raise
+    Hinv = Y[:, -n:]
+    slack = _CERT_SAFETY * (_DOMAIN_TOL + n * np.finfo(float).eps * np.linalg.norm(H))
+    if not (np.isfinite(slack) and slack * np.linalg.norm(Hinv) <= 1.0):
+        f.check_spectrum(eigvals_dense(H))
+    return Hinv if B is None else Y[:, 0]
+
+
+def matfun(f, H):
+    """Evaluate f(H) for a small square matrix H.
+
+    inv is H^{-1} from one LU of H, with the spectrum certified from the
+    same factors (see _inv_solve).  invsqrt and exp diagonalize H; the
+    exponential falls back to a scaling-and-squaring Pade evaluation when
+    the eigenvector matrix is too ill-conditioned, while invsqrt has no
+    fallback and severe ill-conditioning raises IllConditionedError.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatchError("matfun requires a square matrix")
+    if f.kind == "inv":
+        return _inv_solve(f, H, None)
     lam, W, cond = _eig_with_cond(H)
     f.check_spectrum(lam)
     if cond > _EXP_FALLBACK_COND and f.kind == "exp":
@@ -92,13 +127,19 @@ def matfun(f, H):
 
 
 def matfun_apply(f, H, c):
-    """Compute f(H) @ c without forming f(H) on the diagonalization path."""
+    """Compute f(H) @ c without forming f(H).
+
+    inv solves H x = c by one LU of H (see _inv_solve); invsqrt and exp use
+    the diagonalization H = W diag(lambda) W^{-1} and the fallbacks of matfun.
+    """
     H = np.asarray(H, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatchError("matfun_apply requires a square matrix")
     if c.shape != (H.shape[0],):
         raise DimensionMismatchError("vector length incompatible with matrix")
+    if f.kind == "inv":
+        return _inv_solve(f, H, c)
     lam, W, cond = _eig_with_cond(H)
     f.check_spectrum(lam)
     if cond > _EXP_FALLBACK_COND and f.kind == "exp":

@@ -14,20 +14,13 @@ def gen_neumann2d(n):
     """
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    N = n * n
-    A = scipy.sparse.lil_matrix((N, N))
-    for i in range(n):
-        for j in range(n):
-            p = i * n + j
-            A[p, p] = 4.0
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, jj = i + di, j + dj
-                if ii < 0 or ii >= n:
-                    ii = i - di  # reflect
-                if jj < 0 or jj >= n:
-                    jj = j - dj
-                A[p, ii * n + jj] -= 1.0
-    return CSRMatrix.from_scipy(A)
+    # 1-D stencil tridiag(-1, 2, -1); reflection doubles the inward entry of
+    # the two boundary rows, T[0, 1] and T[n-1, n-2]
+    lower, upper = -np.ones(n - 1), -np.ones(n - 1)
+    lower[-1] = upper[0] = -2.0
+    T = scipy.sparse.diags([lower, 2.0 * np.ones(n), upper], [-1, 0, 1])
+    eye = scipy.sparse.identity(n)
+    return CSRMatrix.from_scipy(scipy.sparse.kron(eye, T) + scipy.sparse.kron(T, eye))
 
 
 def gen_advdiff2d(n, peclet=1.0):

@@ -3,6 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+import krec.approximants
+import krec.linalg
+import krec.recycle
 from krec import (
     EXP,
     INV,
@@ -241,6 +244,23 @@ class TestGoldenCounters:
             assert relerr == rec.relerr
 
 
+class TestSketchedQR:
+    def test_srfom_factors_sketched_basis_once(self, monkeypatch):
+        # the approximant's QR of S Vhat is the one the recycling update takes
+        shapes = []
+        real = krec.linalg.qr_econ
+
+        def counted(M, counters=None):
+            shapes.append(M.shape)
+            return real(M, counters)
+
+        monkeypatch.setattr(krec.approximants, "qr_econ", counted)
+        monkeypatch.setattr(krec.recycle, "qr_econ", counted)
+        recs = run_sequence(_spec(method="srfom", m=20, k=5, s=80, num_problems=3))
+        assert all(r.converged for r in recs)
+        assert shapes == [(80, 20), (80, 25), (80, 25)]
+
+
 class TestSpecValidation:
     def test_sketched_requires_s(self):
         with pytest.raises(ConfigError):
@@ -257,6 +277,10 @@ class TestSpecValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             _spec(method="cg")
+
+    def test_unknown_epsilon_mode(self):
+        with pytest.raises(ConfigError):
+            _spec(epsilon_mode="fixd")
 
     def test_adaptive_validation(self):
         with pytest.raises(ConfigError):

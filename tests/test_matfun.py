@@ -1,3 +1,6 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,11 +11,14 @@ from krec import (
     INVSQRT,
     DomainError,
     IllConditionedError,
+    KrecError,
     ScalarFunction,
     exp_scaled,
     matfun,
     matfun_apply,
 )
+
+matfun_module = importlib.import_module("krec.matfun")  # krec.matfun is the function
 
 
 def _random_complex(rng, shape):
@@ -102,6 +108,98 @@ def test_invsqrt_ill_conditioned_raises():
     H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]], dtype=np.complex128)
     with pytest.raises(IllConditionedError):
         matfun(INVSQRT, H)
+
+
+def _solve(H, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.solve(H, c)
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    real = matfun_module.eigvals_dense
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(matfun_module, "eigvals_dense", counted)
+    return calls
+
+
+def test_inv_near_jordan_is_solved():
+    # its eigenvector matrix has condition ~1e15, which diagonalization
+    # rejected with IllConditionedError; one LU solves it
+    H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]], dtype=np.complex128)
+    c = np.array([1.0, 2.0], dtype=np.complex128)
+    np.testing.assert_allclose(matfun_apply(INV, H, c), _solve(H, c), rtol=1e-15)
+    np.testing.assert_allclose(matfun(INV, H), _solve(H, np.eye(2)), rtol=1e-15)
+
+
+def test_inv_non_normal_falls_back_to_eigenvalues(monkeypatch):
+    # ||H^{-1}||_F ~ 1e13 fails the certificate, but both eigenvalues are 1
+    calls = _count_eigvals(monkeypatch)
+    H = np.array([[1.0, 1e13], [0.0, 1.0]], dtype=np.complex128)
+    c = np.array([1.0, 2.0], dtype=np.complex128)
+    np.testing.assert_array_equal(matfun_apply(INV, H, c), _solve(H, c))
+    assert calls == [(2, 2)]
+
+
+def test_inv_certified_does_not_diagonalize(monkeypatch):
+    def no_eig(M):
+        raise AssertionError("inv diagonalized H")
+
+    monkeypatch.setattr(matfun_module, "eig_dense", no_eig)
+    calls = _count_eigvals(monkeypatch)
+    rng = np.random.default_rng(5)
+    H = _random_complex(rng, (30, 30)) + 15 * np.eye(30)
+    c = _random_complex(rng, 30)
+    got = matfun_apply(INV, H, c)
+    want = scipy.linalg.solve(H, c)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+    want = scipy.linalg.inv(H)
+    assert np.linalg.norm(matfun(INV, H) - want) / np.linalg.norm(want) <= 1e-12
+    assert calls == []
+
+
+def test_inv_domain_errors():
+    c = np.ones(2, dtype=np.complex128)
+    with pytest.raises(DomainError):
+        matfun_apply(INV, np.diag([1.0, 1e-14]).astype(np.complex128), c)
+    for singular in (np.zeros((2, 2)), np.ones((2, 2))):  # zero LU pivot
+        with pytest.raises(DomainError):
+            matfun_apply(INV, singular.astype(np.complex128), c)
+        with pytest.raises(DomainError):
+            matfun(INV, singular.astype(np.complex128))
+
+
+def test_inv_planted_small_eigenvalue_raises():
+    # non-normal H = Q T Q* with one eigenvalue within the domain tolerance;
+    # T is mildly non-normal, so the computed eigenvalues stay that close
+    rng = np.random.default_rng(6)
+    for n, lam in ((5, 0.0), (12, 5e-13), (40, 9e-13j), (40, -3e-13 + 4e-13j)):
+        T = 0.1 * np.triu(_random_complex(rng, (n, n)), 1)
+        T[np.diag_indices(n)] = 1.0 + rng.uniform(0.0, 2.0, n)
+        T[n // 2, n // 2] = lam
+        Q, _ = np.linalg.qr(_random_complex(rng, (n, n)))
+        H = Q @ T @ Q.conj().T
+        with pytest.raises(DomainError):
+            matfun_apply(INV, H, _random_complex(rng, n))
+        with pytest.raises(DomainError):
+            matfun(INV, H)
+
+
+def test_inv_non_finite_raises():
+    c = np.ones(2, dtype=np.complex128)
+    for bad in (np.nan, np.inf):
+        H = np.array([[1.0, bad], [0.0, 1.0]], dtype=np.complex128)
+        with pytest.raises(KrecError):
+            matfun_apply(INV, H, c)
+        with pytest.raises(KrecError):
+            matfun(INV, H)
+    with pytest.raises(KrecError):
+        matfun_apply(INV, np.array([[np.inf]], dtype=np.complex128), c[:1])
 
 
 def test_exp_scaled_tau():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from krec import (
     GENERATORS,
@@ -9,6 +10,7 @@ from krec import (
     gen_twocluster,
     perturb_sparsity_gaussian,
 )
+from krec.sparse import CSRMatrix
 
 
 def test_neumann_null_vector():
@@ -29,6 +31,31 @@ def test_neumann_structure_and_size():
     np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-14)
     lam = np.linalg.eigvals(dense)
     assert lam.real.min() >= -1e-12
+
+
+def _neumann2d_by_loop(n):
+    # the reflected five-point stencil, filled entry by entry
+    A = scipy.sparse.lil_matrix((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            p = i * n + j
+            A[p, p] = 4.0
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                ii, jj = i + di, j + dj
+                if ii < 0 or ii >= n:
+                    ii = i - di
+                if jj < 0 or jj >= n:
+                    jj = j - dj
+                A[p, ii * n + jj] -= 1.0
+    return CSRMatrix.from_scipy(A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 31])
+def test_neumann_matches_stencil_loop(n):
+    got, want = gen_neumann2d(n), _neumann2d_by_loop(n)
+    np.testing.assert_array_equal(got.row_offsets, want.row_offsets)
+    np.testing.assert_array_equal(got.col_indices, want.col_indices)
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def test_advdiff_symmetric_when_no_advection():
