@@ -57,7 +57,6 @@ from .errors import (
     DomainError,
     EigConvergenceError,
     EpochMismatchError,
-    IllConditionedError,
     KrecError,
     MatrixMarketError,
     RankDeficiencyError,
@@ -73,7 +72,7 @@ from .linalg import (
     qr_econ,
     svd_econ,
 )
-from .matfun import EXP, INV, INVSQRT, ScalarFunction, exp_scaled, matfun, matfun_apply
+from .matfun import EXP, INV, INVSQRT, ScalarFunction, exp_scaled, matfun_apply
 from .matrices import (
     GENERATORS,
     gen_advdiff2d,

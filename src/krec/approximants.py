@@ -31,13 +31,10 @@ class Approximant:
 
     coeffs: np.ndarray
     basis: np.ndarray
-    basis_tag: str = ""
     ell: int | None = None
     _full: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.basis_tag:
-            self.basis_tag = f"basis-{id(self.basis):x}"
         if self.basis.shape[1] != self.coeffs.shape[0]:
             raise DimensionMismatchError("coefficient length must match basis width")
 

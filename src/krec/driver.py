@@ -1,5 +1,6 @@
 """Problem-sequence orchestration: configuration, run loop, oracles, CSV."""
 
+import csv
 import inspect
 import time
 import warnings
@@ -330,32 +331,31 @@ def run_sequence(spec):
     return records
 
 
-CSV_HEADER = "problem,method,m_used,matvecs,inner_products,sketches,relerr,estimate,ell,wall_time_s"
+CSV_HEADER = ("problem,method,m_used,matvecs,inner_products,sketches,relerr,estimate,ell,"
+              "wall_time_s,converged,error")
 
 
 def emit_csv(records, path):
-    """Write records to CSV with the fixed schema; missing values are empty fields."""
+    """Write records to CSV with the fixed schema; missing values are empty fields.
+
+    converged is 1 or 0; error is the failure message, quoted as CSV
+    requires when it holds a comma.
+    """
     if not records:
         raise ValueError("no records to write")
 
     def opt(x, fmt="{:.17g}"):
         return "" if x is None else fmt.format(x)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
         for r in records:
-            fh.write(",".join([
-                str(r.problem_index),
-                r.method,
-                str(r.m_used),
-                str(r.matvecs),
-                str(r.inner_products),
-                str(r.sketches),
-                opt(r.relerr),
-                opt(r.estimate_final),
-                "" if r.ell_used is None else str(r.ell_used),
-                f"{r.wall_time:.6f}",
-            ]) + "\n")
+            writer.writerow([
+                r.problem_index, r.method, r.m_used, r.matvecs, r.inner_products, r.sketches,
+                opt(r.relerr), opt(r.estimate_final), opt(r.ell_used, "{}"),
+                f"{r.wall_time:.6f}", int(r.converged), r.error or "",
+            ])
 
 
 def parse_matrix_source(text):

@@ -29,10 +29,6 @@ class DomainError(KrecError):
     """An eigenvalue lies (numerically) in the forbidden set of the scalar function."""
 
 
-class IllConditionedError(KrecError):
-    """The eigenvector matrix is too ill-conditioned and no fallback is available."""
-
-
 class RankDeficiencyError(KrecError):
     """A sketched basis is numerically rank-deficient; use the stabilized path."""
 

@@ -1,4 +1,9 @@
-"""Scalar functions of small dense matrices: z^{-1/2}, z^{-1}, exp(tau*z)."""
+"""Scalar functions of small dense matrices: z^{-1/2}, z^{-1}, exp(tau*z).
+
+Each function has one kernel and no fallback: inv is one LU of H, exp is
+scaling and squaring (scipy.linalg.expm), and invsqrt is the Schur method,
+H = Z T Z*, f(H) = Z (T^{1/2})^{-1} Z* (Higham, Functions of Matrices, ch. 6).
+"""
 
 from dataclasses import dataclass
 
@@ -8,14 +13,12 @@ import scipy.linalg
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    IllConditionedError,
+    EigConvergenceError,
     SingularMatrixError,
 )
-from .linalg import eig_dense, eigvals_dense, lu_solve
+from .linalg import eigvals_dense, lu_solve
 
 _DOMAIN_TOL = 1e-12
-_EXP_FALLBACK_COND = 1e8
-_FAIL_COND = 1e12
 _CERT_SAFETY = 10.0  # margin of the LU spectrum certificate of inv
 
 
@@ -69,12 +72,6 @@ def exp_scaled(tau):
     return ScalarFunction("exp", tau=tau)
 
 
-def _eig_with_cond(H):
-    lam, W = eig_dense(H)
-    cond = np.linalg.cond(W)
-    return lam, W, cond
-
-
 def _inv_solve(f, H, B):
     """H^{-1} B for inv by one partial-pivoted LU of H, with no diagonalization.
 
@@ -83,8 +80,7 @@ def _inv_solve(f, H, B):
     The bound must clear the domain tolerance plus the backward error
     n eps ||H||_F of computed eigenvalues, with a margin of _CERT_SAFETY for
     the rounding in H^{-1}.  When it does not, or the LU has a zero pivot,
-    the eigenvalues alone decide, as for the other functions; a non-finite H
-    never clears the bound, and eigvals_dense raises on it.
+    the eigenvalues alone decide whether to raise DomainError.
     """
     n = H.shape[0]
     eye = np.eye(n, dtype=np.complex128)
@@ -100,53 +96,36 @@ def _inv_solve(f, H, B):
     return Hinv if B is None else Y[:, 0]
 
 
-def matfun(f, H):
-    """Evaluate f(H) for a small square matrix H.
+def _apply(f, H, B):
+    """f(H) @ B for a square complex H, or f(H) itself when B is None."""
+    if not np.all(np.isfinite(H)):
+        raise EigConvergenceError("projected matrix has non-finite entries")
+    if f.kind == "inv":
+        return _inv_solve(f, H, B)
+    if f.kind == "exp":
+        E = scipy.linalg.expm(f.tau * H)
+        return E if B is None else E @ B
+    T, Z = scipy.linalg.schur(H, output="complex")
+    f.check_spectrum(np.diagonal(T))
+    R = scipy.linalg.sqrtm(T)  # upper triangular: the principal root of T
+    ZhB = Z.conj().T if B is None else Z.conj().T @ B
+    return Z @ scipy.linalg.solve_triangular(R, ZhB)
 
-    inv is H^{-1} from one LU of H, with the spectrum certified from the
-    same factors (see _inv_solve).  invsqrt and exp diagonalize H; the
-    exponential falls back to a scaling-and-squaring Pade evaluation when
-    the eigenvector matrix is too ill-conditioned, while invsqrt has no
-    fallback and severe ill-conditioning raises IllConditionedError.
-    """
+
+def matfun(f, H):
+    """Evaluate f(H) for a small square matrix H (see _apply for the kernels)."""
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatchError("matfun requires a square matrix")
-    if f.kind == "inv":
-        return _inv_solve(f, H, None)
-    lam, W, cond = _eig_with_cond(H)
-    f.check_spectrum(lam)
-    if cond > _EXP_FALLBACK_COND and f.kind == "exp":
-        return scipy.linalg.expm(f.tau * H)
-    if cond > _FAIL_COND:
-        raise IllConditionedError(
-            f"eigenvector matrix condition {cond:.2e} exceeds {_FAIL_COND:.0e} "
-            f"and {f.kind} has no non-diagonalization fallback"
-        )
-    return W @ (f(lam)[:, np.newaxis] * lu_solve(W, np.eye(H.shape[0], dtype=np.complex128)))
+    return _apply(f, H, None)
 
 
 def matfun_apply(f, H, c):
-    """Compute f(H) @ c without forming f(H).
-
-    inv solves H x = c by one LU of H (see _inv_solve); invsqrt and exp use
-    the diagonalization H = W diag(lambda) W^{-1} and the fallbacks of matfun.
-    """
+    """Compute f(H) @ c; inv and invsqrt never form f(H)."""
     H = np.asarray(H, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatchError("matfun_apply requires a square matrix")
     if c.shape != (H.shape[0],):
         raise DimensionMismatchError("vector length incompatible with matrix")
-    if f.kind == "inv":
-        return _inv_solve(f, H, c)
-    lam, W, cond = _eig_with_cond(H)
-    f.check_spectrum(lam)
-    if cond > _EXP_FALLBACK_COND and f.kind == "exp":
-        return scipy.linalg.expm(f.tau * H) @ c
-    if cond > _FAIL_COND:
-        raise IllConditionedError(
-            f"eigenvector matrix condition {cond:.2e} exceeds {_FAIL_COND:.0e} "
-            f"and {f.kind} has no non-diagonalization fallback"
-        )
-    return W @ (f(lam) * lu_solve(W, c))
+    return _apply(f, H, c)

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -42,6 +44,15 @@ def _spec(**kw):
     )
     base.update(kw)
     return SequenceSpec(**base)
+
+
+def _singular_inv_spec():
+    # inv of a singular matrix: m = N makes the projected matrix share the
+    # singular spectrum of A, so every problem fails
+    return SequenceSpec(
+        function=INV, method="fom", num_problems=2, m=9,
+        matrix_source=GeneratorSource("neumann2d", {"n": 3}),
+        seed=0, timing_reps=1)
 
 
 class TestOracle:
@@ -177,14 +188,8 @@ class TestRunSequence:
         assert all(r.relerr is not None and r.relerr < 1e-8 for r in recs)
 
     def test_failure_recorded_and_sequence_continues(self):
-        # inv of a singular matrix: the oracle/approximant path raises per
-        # problem but the sequence keeps going
-        # m = N makes the projected matrix share the singular spectrum of A
-        spec = SequenceSpec(
-            function=INV, method="fom", num_problems=2, m=9,
-            matrix_source=GeneratorSource("neumann2d", {"n": 3}),
-            seed=0, timing_reps=1)
-        recs = run_sequence(spec)
+        # the approximant path raises per problem but the sequence keeps going
+        recs = run_sequence(_singular_inv_spec())
         assert len(recs) == 2
         assert all(r.error is not None and not r.converged for r in recs)
 
@@ -367,8 +372,26 @@ class TestCsv:
             assert int(fields[3]) == rec.matvecs
             assert float(fields[6]) == pytest.approx(rec.relerr, rel=1e-15)
             assert int(fields[8]) == rec.ell_used
+            assert fields[10:] == ["1", ""]
             total_mv += int(fields[3])
         assert f"matvecs={total_mv}" in summarize(recs)
+
+    def test_failed_rows_round_trip(self, tmp_path):
+        recs = run_sequence(_singular_inv_spec())
+        # an error text with a comma and a quote must survive as one field
+        recs.append(dataclasses.replace(recs[-1], error='KrecError: a, b and "c"'))
+        path = tmp_path / "out.csv"
+        emit_csv(recs, str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert len(rows) == len(recs) + 1
+        for row, rec in zip(rows[1:], recs):
+            assert len(row) == len(rows[0])
+            fields = dict(zip(rows[0], row))
+            assert fields["relerr"] == ""
+            assert fields["converged"] == "0"
+            assert rec.error and fields["error"] == rec.error
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,24 +1,27 @@
-import importlib
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import krec
+import krec.matfun as matfun_module
 from krec import (
     EXP,
     INV,
     INVSQRT,
     DomainError,
-    IllConditionedError,
     KrecError,
     ScalarFunction,
     exp_scaled,
-    matfun,
     matfun_apply,
 )
-
-matfun_module = importlib.import_module("krec.matfun")  # krec.matfun is the function
+from krec.matfun import matfun
 
 
 def _random_complex(rng, shape):
@@ -97,17 +100,36 @@ def test_domain_errors():
     matfun(INVSQRT, np.diag([-2.0 + 1.0j]).astype(np.complex128))
 
 
-def test_exp_fallback_on_ill_conditioned():
-    # near-defective: eigenvector matrix condition far above the fallback cutoff
-    H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]], dtype=np.complex128)
-    out = matfun(EXP, H)
-    np.testing.assert_allclose(out, scipy.linalg.expm(H), rtol=1e-12)
+def test_package_attribute_is_the_module():
+    assert isinstance(krec.matfun, types.ModuleType)
 
 
-def test_invsqrt_ill_conditioned_raises():
-    H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]], dtype=np.complex128)
-    with pytest.raises(IllConditionedError):
-        matfun(INVSQRT, H)
+def _jordan_closed_form(f, lam, n):
+    """f(J) = sum_k f^(k)(lam)/k! N^k for the n x n Jordan block J = lam I + N."""
+    k = np.arange(n)
+    if f.kind == "invsqrt":
+        coeffs = scipy.special.binom(-0.5, k) * lam ** (-0.5 - k)
+    else:
+        coeffs = f.tau ** k * np.exp(f.tau * lam) / scipy.special.factorial(k)
+    return sum(c * np.eye(n, k=j) for j, c in enumerate(coeffs))
+
+
+def test_jordan_block_closed_form():
+    # an exactly defective H: it has no eigenvector basis, yet f(H) is
+    # well-conditioned, so both kernels must return it to rounding accuracy
+    rng = np.random.default_rng(3)
+    lam = 1.5 + 0.5j
+    for n in (2, 8):
+        J = lam * np.eye(n) + np.eye(n, k=1)
+        Q, _ = np.linalg.qr(_random_complex(rng, (n, n)))
+        H = Q @ J @ Q.conj().T
+        c = _random_complex(rng, n)
+        for f in (INVSQRT, EXP, exp_scaled(-0.7)):
+            want = Q @ _jordan_closed_form(f, lam, n) @ Q.conj().T
+            got = matfun(f, H)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            got = matfun_apply(f, H, c)
+            assert np.linalg.norm(got - want @ c) <= 1e-12 * np.linalg.norm(want @ c)
 
 
 def _solve(H, c):
@@ -129,8 +151,7 @@ def _count_eigvals(monkeypatch):
 
 
 def test_inv_near_jordan_is_solved():
-    # its eigenvector matrix has condition ~1e15, which diagonalization
-    # rejected with IllConditionedError; one LU solves it
+    # its eigenvector matrix has condition ~1e15; one LU solves it
     H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]], dtype=np.complex128)
     c = np.array([1.0, 2.0], dtype=np.complex128)
     np.testing.assert_allclose(matfun_apply(INV, H, c), _solve(H, c), rtol=1e-15)
@@ -146,21 +167,28 @@ def test_inv_non_normal_falls_back_to_eigenvalues(monkeypatch):
     assert calls == [(2, 2)]
 
 
-def test_inv_certified_does_not_diagonalize(monkeypatch):
-    def no_eig(M):
-        raise AssertionError("inv diagonalized H")
-
-    monkeypatch.setattr(matfun_module, "eig_dense", no_eig)
-    calls = _count_eigvals(monkeypatch)
+def test_no_kind_diagonalizes(monkeypatch):
     rng = np.random.default_rng(5)
     H = _random_complex(rng, (30, 30)) + 15 * np.eye(30)
     c = _random_complex(rng, 30)
-    got = matfun_apply(INV, H, c)
-    want = scipy.linalg.solve(H, c)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
-    want = scipy.linalg.inv(H)
-    assert np.linalg.norm(matfun(INV, H) - want) / np.linalg.norm(want) <= 1e-12
-    assert calls == []
+    root, E = scipy.linalg.sqrtm(H), scipy.linalg.expm(H)
+    want = {
+        INV: (scipy.linalg.solve(H, c), scipy.linalg.inv(H)),
+        INVSQRT: (scipy.linalg.solve(root, c), scipy.linalg.inv(root)),
+        EXP: (E @ c, E),
+    }
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("the kernel diagonalized H")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    calls = _count_eigvals(monkeypatch)
+    for f, (want_c, want_f) in want.items():
+        got = matfun_apply(f, H, c)
+        assert np.linalg.norm(got - want_c) / np.linalg.norm(want_c) <= 1e-12
+        assert np.linalg.norm(matfun(f, H) - want_f) / np.linalg.norm(want_f) <= 1e-12
+    assert calls == []  # the LU certificate of inv holds, so no eigenvalues either
 
 
 def test_inv_domain_errors():
@@ -192,14 +220,38 @@ def test_inv_planted_small_eigenvalue_raises():
 
 def test_inv_non_finite_raises():
     c = np.ones(2, dtype=np.complex128)
-    for bad in (np.nan, np.inf):
-        H = np.array([[1.0, bad], [0.0, 1.0]], dtype=np.complex128)
+    for f in (INV, INVSQRT, EXP):
+        for bad in (np.nan, np.inf):
+            H = np.array([[1.0, bad], [0.0, 1.0]], dtype=np.complex128)
+            with pytest.raises(KrecError):
+                matfun_apply(f, H, c)
+            with pytest.raises(KrecError):
+                matfun(f, H)
         with pytest.raises(KrecError):
-            matfun_apply(INV, H, c)
-        with pytest.raises(KrecError):
-            matfun(INV, H)
-    with pytest.raises(KrecError):
-        matfun_apply(INV, np.array([[np.inf]], dtype=np.complex128), c[:1])
+            matfun_apply(f, np.array([[np.inf]], dtype=np.complex128), c[:1])
+
+
+def _well_conditioned(n):
+    # H = 2I + M/n with |M_ij| <= sqrt(2): ||H - 2I||_2 <= sqrt(2), so the
+    # spectrum lies in the right half-plane and ||H||, ||H^{-1}|| <= 3.5
+    parts = arrays(np.float64, (2, n, n), elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda p: 2.0 * np.eye(n) + (p[0] + 1j * p[1]) / n)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 12).flatmap(_well_conditioned), st.floats(-1.0, 1.0))
+def test_kernel_identities(H, tau):
+    n = H.shape[0]
+    eye = np.eye(n)
+    tol = 1e-12 * n
+    for f in (INV, INVSQRT, exp_scaled(tau)):
+        Y = matfun(f, H)
+        assert np.linalg.norm(Y @ H - H @ Y) <= tol * np.linalg.norm(Y) * np.linalg.norm(H)
+    assert np.linalg.norm(H @ matfun(INV, H) - eye) <= tol
+    Y = matfun(INVSQRT, H)
+    assert np.linalg.norm(Y @ H @ Y - eye) <= tol
+    E = matfun(exp_scaled(tau), H) @ matfun(exp_scaled(-tau), H)
+    assert np.linalg.norm(E - eye) <= tol
 
 
 def test_exp_scaled_tau():
