@@ -132,6 +132,17 @@ def test_jordan_block_closed_form():
             assert np.linalg.norm(got - want @ c) <= 1e-12 * np.linalg.norm(want @ c)
 
 
+def test_exp_fallback_on_ill_conditioned():
+    # near-defective H, eigenvector matrix condition ~1e13: expm needs no
+    # eigenvector basis; the (1, 2) entry is the divided difference of exp
+    a, b = 1.0, 1.0 + 1e-13
+    H = np.array([[a, 1.0], [0.0, b]], dtype=np.complex128)
+    want = np.exp(a) * np.array([[1.0, np.expm1(b - a) / (b - a)], [0.0, np.exp(b - a)]])
+    np.testing.assert_allclose(matfun(EXP, H), want, rtol=1e-12)
+    c = np.array([1.0, 2.0], dtype=np.complex128)
+    np.testing.assert_allclose(matfun_apply(EXP, H, c), want @ c, rtol=1e-12)
+
+
 def _solve(H, c):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
