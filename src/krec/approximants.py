@@ -14,7 +14,8 @@ import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .linalg import lu_solve, partial_schur_closest_to_origin, qr_econ, svd_truncated
+from .linalg import (lu_solve, partial_schur_closest_to_origin, qr_econ,
+                     right_div_triangular, svd_truncated)
 from .matfun import matfun_apply
 from .recycle import RecycleState, propagate_AU, update_sketched, update_sketched_stab
 from .sketch import sketch_apply, sketch_av_from_arnoldi
@@ -45,11 +46,6 @@ class Approximant:
         return self._full
 
 
-def _right_div_triangular(P, R):
-    """Return P @ R^{-1} for upper-triangular R."""
-    return scipy.linalg.solve_triangular(R.T, P.T, lower=True).T
-
-
 def _herm_mul(Q, X):
     """Q* X for a tall Q, conjugating only X: Q.conj().T @ X would copy all of Q."""
     return (X.conj().T @ Q).conj().T
@@ -78,6 +74,8 @@ class KrylovBasis:
     def approximant(self, b, f):
         """Closed-form FOM approximant V_m f(H_m) V_m* b."""
         return fom_closed(self.fac.V, self.fac.square_h(), b, f, self.counters)
+
+    norm = staticmethod(np.linalg.norm)  # of V_m y, as V_m is orthonormal
 
 
 class AugmentedBasis:
@@ -175,7 +173,7 @@ class AugmentedBasis:
         P = self.R[:, self.k:] @ fac.square_h()
         if fac.breakdown is None:
             P[:, -1] += fac.h_tail * _herm_mul(self.Q, fac.v_next)
-        self.G = _right_div_triangular(np.hstack([self._QAU, P]), self.R)
+        self.G = right_div_triangular(np.hstack([self._QAU, P]), self.R)
 
     def _drop_dependent(self, flagged):
         # V is orthonormal, so any dependency is attributable to U: rank-check
@@ -201,6 +199,8 @@ class AugmentedBasis:
                 "rank-deficient or f overflowed on G"
             )
         return approx
+
+    norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
 
     def recycle(self, k):
         """Recycling state for the next problem, with U and A U, no matvecs.
@@ -257,7 +257,7 @@ def sfom_whitened(Vhat, SV, SAV, Sb, f, qr=None):
         raise RankDeficiencyError(
             "sketched basis is numerically rank-deficient; use srfom_stab"
         )
-    G = _right_div_triangular(qr.Q.conj().T @ SAV, qr.R)
+    G = right_div_triangular(qr.Q.conj().T @ SAV, qr.R)
     y = matfun_apply(f, G, qr.Q.conj().T @ np.asarray(Sb))
     coeffs = scipy.linalg.solve_triangular(qr.R, y)
     return Approximant(coeffs=coeffs, basis=np.asarray(Vhat))
@@ -279,7 +279,7 @@ def srfom_stab(Vhat, SV, SAV, Sb, f, svdtol=1e-14):
 
 
 class SketchedBasis:
-    """Sketched working set [V_m, U] of sFOM and srFOM, grown with V_m.
+    """Sketched working set [U, V_m] of sFOM and srFOM, grown by appending V_m.
 
     Each Krylov column is sketched once: extend() sketches only the columns
     added since the previous call, and the sketch of v_next, taken for
@@ -331,9 +331,9 @@ class SketchedBasis:
         self.fac, self.qr = fac, None
         SAV = sketch_av_from_arnoldi(self.S, fac, self.SV, self.s_next)
         if self.k:
-            self.Vhat = np.column_stack([fac.V, self.U])
-            self.SVhat = np.column_stack([self.SV, self.SU])
-            self.SAVhat = np.column_stack([SAV, self.SAU])
+            self.Vhat = np.column_stack([self.U, fac.V])
+            self.SVhat = np.column_stack([self.SU, self.SV])
+            self.SAVhat = np.column_stack([self.SAU, SAV])
         else:
             self.Vhat, self.SVhat, self.SAVhat = fac.V, self.SV, SAV
 
@@ -346,6 +346,10 @@ class SketchedBasis:
         if self.keeps_qr:
             self.qr = qr
         return sfom_whitened(self.Vhat, self.SVhat, self.SAVhat, Sb, f, qr=qr)
+
+    def norm(self, y):
+        """Sketched norm ||S Vhat y||, the estimator's stand-in for ||Vhat y||."""
+        return np.linalg.norm(self.SVhat @ y)
 
     def recycle(self, k):
         """Recycling state for the next problem by sketched Rayleigh-Ritz."""

@@ -13,13 +13,12 @@ import scipy.linalg
 from .approximants import AugmentedBasis, KrylovBasis, SketchedBasis
 from .arnoldi import MODE_FULL, MODE_TRUNCATED, arnoldi_build, arnoldi_extend
 from .counters import Counters
-from .errest import estimate_diff, pad_coeffs
 from .errors import ConfigError, KrecError
 from .matfun import ScalarFunction
 from .matrices import GENERATORS, perturb_sparsity_gaussian
 from .mmio import read_matrix_market
 from .recycle import RecycleState
-from .sketch import estimate_epsilon, sketch_new
+from .sketch import sketch_new
 from .sparse import csr_matvec  # noqa: F401  seqbench's tracer test resolves it here
 
 METHODS = ("fom", "sfom", "rfom", "srfom", "srfom_stab")
@@ -68,8 +67,6 @@ class SequenceSpec:
     rhs_rule: str = "fresh"        # "fresh" | "chain"
     inexact_srr: bool = False
     stop_rule: str = "estimator"   # "estimator" | "oracle"
-    epsilon_mode: str = "fixed"    # "fixed" | "tracked"
-    epsilon_value: float = 0.99
     oracle_cap: int = 1500
     timing_reps: int = 3
 
@@ -82,8 +79,6 @@ class SequenceSpec:
             raise ConfigError(f"unknown rhs rule {self.rhs_rule!r}")
         if self.stop_rule not in ("estimator", "oracle"):
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
-        if self.epsilon_mode not in ("fixed", "tracked"):
-            raise ConfigError(f"unknown epsilon mode {self.epsilon_mode!r}")
         m_top = self.m.m_max if isinstance(self.m, AdaptiveM) else self.m
         if self.uses_sketching:
             if self.s <= 0:
@@ -229,7 +224,10 @@ def _solve(spec, A, b, basis, counters, oracle):
 
 
 def _check_stop(spec, approx, prev_coeffs, oracle, b, basis):
-    """Evaluate the configured stopping rule; returns (stop, recorded estimate)."""
+    """Evaluate the configured stopping rule; returns (stop, recorded estimate).
+
+    The estimate is ||y - y_prev||_B / ||y||_B with y_prev zero-padded at the end.
+    """
     if spec.stop_rule == "oracle":
         exact = oracle.solve(b)
         if exact is None:
@@ -238,21 +236,10 @@ def _check_stop(spec, approx, prev_coeffs, oracle, b, basis):
         return err <= spec.m.reltol, float(err)
     if prev_coeffs is None:
         return False, None
-    y_big = approx.coeffs
-    # new Krylov coefficients sit before the k sketched augmentation ones
-    # and at the end of an orthonormal basis of [U, V_m]
-    k = basis.k if spec.uses_sketching else 0
-    m_high, m_low = y_big.shape[0] - k, prev_coeffs.shape[0] - k
-    padded = pad_coeffs(prev_coeffs, m_low, m_high, k)
-    if spec.uses_sketching:
-        eps = (float(spec.epsilon_value) if spec.epsilon_mode == "fixed"
-               else estimate_epsilon(basis.S, list(basis.fac.V.T), sketched=list(basis.SV.T)))
-        diff = estimate_diff(basis.SVhat, y_big, padded, eps, m_low=m_low, m_high=m_high).value
-        scale = np.linalg.norm(basis.SVhat @ y_big) / np.sqrt(1.0 - eps)
-    else:
-        # orthonormal working basis: exact coefficient-space norms, eps = 0
-        diff, scale = np.linalg.norm(y_big - padded), np.linalg.norm(y_big)
-    rel = diff / scale if scale > 0 else np.inf
+    y = approx.coeffs
+    diff = y - np.pad(prev_coeffs, (0, y.shape[0] - prev_coeffs.shape[0]))
+    scale = basis.norm(y)
+    rel = basis.norm(diff) / scale if scale > 0 else np.inf
     return rel <= spec.m.reltol, float(rel)
 
 
@@ -317,17 +304,17 @@ def _run_once(spec, A0):
 
 
 def run_sequence(spec):
-    """Execute the sequence, repeating for wall-time averaging.
+    """Execute the sequence timing_reps times.
 
     All repetitions produce identical counters and errors (same seeds); the
-    reported wall times are the per-problem means over the repetitions.
+    reported wall times are the per-problem medians over the repetitions.
     """
     A0 = load_matrix(spec.matrix_source, spec.shift)
     reps = max(1, spec.timing_reps)
     all_runs = [_run_once(spec, A0) for _ in range(reps)]
     records = all_runs[-1]
     for idx, rec in enumerate(records):
-        rec.wall_time = float(np.mean([run[idx].wall_time for run in all_runs]))
+        rec.wall_time = float(np.median([run[idx].wall_time for run in all_runs]))
     return records
 
 
@@ -476,10 +463,8 @@ CONFIG_KEYS = {
     "rhs": ConfigKey(str, "right-hand side rule", ("fresh", "chain")),
     "inexact_srr": ConfigKey(_parse_bool, "keep the cached S A U on a new matrix"),
     "stop_rule": ConfigKey(str, "adaptive stop rule", ("estimator", "oracle")),
-    "epsilon_mode": ConfigKey(str, "embedding constant of the estimator", ("fixed", "tracked")),
-    "epsilon_value": ConfigKey(_parse_float, "fixed embedding constant"),
     "oracle_cap": ConfigKey(_parse_int, "largest N given a dense reference solution"),
-    "timing_reps": ConfigKey(_parse_int, "sequence repetitions averaged for wall time"),
+    "timing_reps": ConfigKey(_parse_int, "sequence repetitions; wall times are their median"),
 }
 
 

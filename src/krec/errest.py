@@ -24,9 +24,9 @@ class ErrorEstimate:
 def pad_coeffs(y_small, m_low, m_high, aug_cols):
     """Zero-pad coefficients from cycle length m_low to m_high.
 
-    The pad is inserted in the positions of the new Krylov coefficients; with
-    the [V_m, U] basis ordering this sits between the Krylov block and the
-    augmentation block.
+    The pad goes where a [V_m, U] basis puts the new Krylov coefficients,
+    before the aug_cols augmentation ones.  The driver's bases put U first
+    and pad at the end instead.
     """
     y_small = np.asarray(y_small)
     if y_small.shape[0] != m_low + aug_cols:

@@ -146,6 +146,11 @@ def partial_schur_closest_to_origin(M, k, rank_tol=1e-10):
     return PartialSchur(X=X, T=T)
 
 
+def right_div_triangular(P, R):
+    """Return P @ R^{-1} for upper-triangular R."""
+    return scipy.linalg.solve_triangular(R.T, P.T, lower=True).T
+
+
 def lu_solve(M, B, counters=None):
     """Solve M @ Y = B by partial-pivoted LU; B may be a vector or matrix."""
     M = _as_complex_matrix(M)

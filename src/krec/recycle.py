@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, EpochMismatchError, RankDeficiencyError
-from .linalg import partial_schur_closest_to_origin, qr_econ, svd_truncated
+from .linalg import partial_schur_closest_to_origin, qr_econ, right_div_triangular, svd_truncated
 
 
 @dataclass
@@ -48,43 +48,47 @@ def update_orthonormal(basis, G, k):
     return np.asarray(basis) @ ps.X, np.diagonal(ps.T).copy()
 
 
-def srr_matrix(qr, SAV):
-    """Sketched Rayleigh-Ritz matrix R^{-1} Q* (S A Vhat) from the QR of S Vhat."""
-    SAV = np.asarray(SAV)
+def _check_sketched_rank(qr):
     d = np.abs(np.diagonal(qr.R))
     if d.size and d.min() <= 1e-13 * d.max():
         raise RankDeficiencyError("singular R in sRR; use update_sketched_stab")
-    return scipy.linalg.solve_triangular(qr.R, qr.Q.conj().T @ SAV)
+
+
+def srr_matrix(qr, SAV):
+    """Sketched Rayleigh-Ritz matrix R^{-1} Q* (S A Vhat) from the QR of S Vhat."""
+    _check_sketched_rank(qr)
+    return scipy.linalg.solve_triangular(qr.R, qr.Q.conj().T @ np.asarray(SAV))
 
 
 def update_sketched(bundle, k):
     """Sketched Rayleigh-Ritz recycling update from a sketched FOM bundle.
 
-    U, SU and SAU are all obtained by right-multiplying the cached working-set
-    matrices with the Schur basis X; no sketches or matvecs are performed.
+    Ritz pairs of sfom_whitened's G = Q* S A Vhat R^{-1}, whose eigenvectors do
+    not carry cond(R) as srr_matrix's do; U = Vhat orth(R^{-1} X).
     """
     qr = bundle.qr if bundle.qr is not None else qr_econ(bundle.SVhat)
-    M = srr_matrix(qr, bundle.SAVhat)
-    ps = partial_schur_closest_to_origin(M, min(k, M.shape[0]))
-    return _sketched_state(bundle.Vhat, bundle.SVhat, bundle.SAVhat, ps.X, ps, k,
+    _check_sketched_rank(qr)
+    G = right_div_triangular(qr.Q.conj().T @ np.asarray(bundle.SAVhat), qr.R)
+    ps = partial_schur_closest_to_origin(G, min(k, G.shape[0]))
+    Y = np.linalg.qr(scipy.linalg.solve_triangular(qr.R, ps.X))[0]
+    return _sketched_state(bundle.Vhat, bundle.SVhat, bundle.SAVhat, Y, ps, k,
                            bundle.matrix_epoch)
 
 
 def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None):
-    """Stabilized recycling update via the truncated-SVD pencil reduction.
+    """Stabilized recycling update from the truncated SVD S Vhat ~ L Sigma J*.
 
-    The ordered-pencil extraction on (L* SAVhat J, Sigma) is realized by
-    reducing to the standard eigenproblem Sigma^{-1} (L* SAVhat J), which is
-    valid because Sigma is diagonal positive.  If fewer than k singular values
-    survive the cutoff, k is reduced with a warning.
+    Ritz pairs of srfom_stab's G = L* S A Vhat J Sigma^{-1}; U = Vhat J orth(Sigma^{-1} X).
+    If fewer than k singular values survive the cutoff, k is reduced with a warning.
     """
     L, sig, J = svd_truncated(SVhat, svdtol)
     if sig.size < k:
         warnings.warn(f"stabilized update reduced k from {k} to {sig.size}", stacklevel=2)
         k = sig.size
-    M = (L.conj().T @ np.asarray(SAVhat) @ J) / sig[:, np.newaxis]
-    ps = partial_schur_closest_to_origin(M, k)
-    return _sketched_state(Vhat, SVhat, SAVhat, J @ ps.X, ps, k, matrix_epoch)
+    G = (L.conj().T @ np.asarray(SAVhat) @ J) / sig[np.newaxis, :]
+    ps = partial_schur_closest_to_origin(G, k)
+    Y = J @ np.linalg.qr(ps.X / sig[:, np.newaxis])[0]
+    return _sketched_state(Vhat, SVhat, SAVhat, Y, ps, k, matrix_epoch)
 
 
 def _sketched_state(Vhat, SVhat, SAVhat, X, ps, k, matrix_epoch):

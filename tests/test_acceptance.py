@@ -221,7 +221,6 @@ def test_criterion_6_exponential_time_stepping():
                 num_problems=15, matrix_source=src, seed=seed,
                 rhs_rule="chain", k=20, s=400, svdtol=1e-12, t=2,
                 timing_reps=1, stop_rule="estimator",
-                epsilon_mode="fixed", epsilon_value=0.99,
                 m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
             for r in recs:
                 total += 1

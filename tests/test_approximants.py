@@ -1,15 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krec import (
     EXP,
     INV,
     INVSQRT,
+    AdaptiveM,
     AugmentedBasis,
     Counters,
     CSRMatrix,
+    KrylovBasis,
     MODE_TRUNCATED,
     RankDeficiencyError,
+    RecycleState,
+    SketchedBasis,
     arnoldi_build,
     arnoldi_extend,
     exp_scaled,
@@ -23,10 +31,12 @@ from krec import (
     sgmres_type_stab,
     sketch_apply,
     qr_econ,
+    sketch_dense,
     sketch_new,
     srfom_stab,
     srfom_step,
 )
+from krec.driver import _check_stop
 
 ALL_F = (INVSQRT, INV, EXP)
 
@@ -439,3 +449,63 @@ def test_augmented_order_invariance():
     uv = whitened(np.column_stack([U, fac.V]))
     vu = whitened(np.column_stack([fac.V, U]))
     assert np.linalg.norm(uv - vu) <= 1e-8 * np.linalg.norm(vu)
+
+
+_NEST_N, _NEST_S = 48, 40
+_NEST_RNG = np.random.default_rng(31)
+_NEST_A = _random_hpd(_NEST_RNG, _NEST_N)
+_NEST_B = _random_complex(_NEST_RNG, _NEST_N)
+_NEST_U = np.linalg.qr(_random_complex(_NEST_RNG, (_NEST_N, 3)))[0]
+_NEST_SKETCH = sketch_new(_NEST_N, _NEST_S, seed=6)
+
+
+def _nest_basis(kind, k):
+    """A working basis of the given kind, seeded with k recycled columns."""
+    U = _NEST_U[:, :k]
+    if kind == "krylov":
+        return KrylovBasis()
+    if kind == "augmented":
+        return AugmentedBasis(_NEST_A, U)
+    S = sketch_dense(_NEST_SKETCH)
+    state = RecycleState(U=U, SU=S @ U, SAU=S @ (_NEST_A.to_dense() @ U),
+                         matrix_epoch=0, k_target=k)
+    return SketchedBasis(_NEST_A, _NEST_SKETCH, state, matrix_epoch=0,
+                         stabilized=kind == "sketched_stab")
+
+
+def _nest_columns(kind, basis):
+    """(columns that must be kept bit for bit, S A Vhat, the estimator's W in ||W y||)."""
+    if kind == "krylov":
+        return {"V": basis.fac.V.copy()}, None, basis.fac.V.copy()
+    if kind == "augmented":
+        return {"Q": basis.Q.copy()}, None, basis.Q.copy()
+    kept = {"Vhat": basis.Vhat.copy(), "SVhat": basis.SVhat.copy()}
+    return kept, basis.SAVhat.copy(), basis.SVhat.copy()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(["krylov", "augmented", "sketched", "sketched_stab"]),
+       st.sampled_from([0, 3]), st.integers(2, 12), st.integers(1, 5))
+def test_extend_keeps_leading_columns(kind, k, m, d):
+    # every working basis only appends columns, so the stop test may compare
+    # the previous coefficients padded with zeros at the end
+    assume(kind != "krylov" or k == 0)
+    mode = "full" if kind in ("krylov", "augmented") else MODE_TRUNCATED
+    basis = _nest_basis(kind, k)
+    fac = arnoldi_build(_NEST_A, _NEST_B, m, mode=mode)
+    basis.extend(fac)
+    y_old = basis.approximant(_NEST_B, INVSQRT).coeffs
+    kept_old, SAV_old, W_old = _nest_columns(kind, basis)
+    basis.extend(arnoldi_extend(fac, _NEST_A, m + d))
+    approx = basis.approximant(_NEST_B, INVSQRT)
+    kept_new, SAV_new, W_new = _nest_columns(kind, basis)
+    for name, old in kept_old.items():
+        np.testing.assert_array_equal(kept_new[name][:, :old.shape[1]], old, err_msg=name)
+    if SAV_old is not None:
+        lead = SAV_new[:, :SAV_old.shape[1]]
+        assert np.linalg.norm(lead - SAV_old) <= 1e-13 * np.linalg.norm(SAV_old)
+    spec = SimpleNamespace(stop_rule="estimator", m=AdaptiveM(reltol=1e-8))
+    _, est = _check_stop(spec, approx, y_old, None, _NEST_B, basis)
+    y_new = approx.coeffs
+    want = np.linalg.norm(W_new @ y_new - W_old @ y_old) / np.linalg.norm(W_new @ y_new)
+    assert abs(est - want) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import krec.approximants
+import krec.driver
 import krec.linalg
 import krec.recycle
 from krec import (
@@ -187,6 +188,18 @@ class TestRunSequence:
         recs = run_sequence(spec)
         assert all(r.relerr is not None and r.relerr < 1e-8 for r in recs)
 
+    def test_wall_time_is_median_over_repetitions(self, monkeypatch):
+        calls = iter([1.0, 2.0, 9.0])
+
+        def fake_run_once(spec, A0):
+            return [krec.driver.RunRecord(problem_index=0, method=spec.method, m_used=1,
+                                          matvecs=0, inner_products=0, sketches=0,
+                                          wall_time=next(calls))]
+
+        monkeypatch.setattr(krec.driver, "_run_once", fake_run_once)
+        recs = run_sequence(_spec(timing_reps=3))
+        assert recs[0].wall_time == 2.0
+
     def test_failure_recorded_and_sequence_continues(self):
         # the approximant path raises per problem but the sequence keeps going
         recs = run_sequence(_singular_inv_spec())
@@ -204,11 +217,10 @@ _GOLDEN = [
     ("fom", {}, [(50, 51, 2925, 0)] * 4),
     ("sfom", {"s": 64}, [(50, 51, 244, 51)] * 4),
     ("rfom", {"k": 4}, [(50, 51, 4200, 0)] + [(30, 35, 1714, 0)] * 3),
-    ("srfom", {"k": 4, "s": 64},
-     [(50, 51, 244, 51), (35, 40, 169, 40)] + [(30, 35, 144, 35)] * 2),
+    ("srfom", {"k": 4, "s": 64}, [(50, 51, 244, 51)] + [(30, 35, 144, 35)] * 3),
     ("srfom_stab", {"k": 4, "s": 64}, [(50, 51, 244, 51)] + [(30, 35, 144, 35)] * 3),
     ("srfom", {"k": 4, "s": 64, "inexact_srr": True},
-     [(50, 51, 244, 51), (35, 36, 169, 36)] + [(30, 31, 144, 31)] * 2),
+     [(50, 51, 244, 51), (30, 31, 144, 31), (40, 41, 194, 41), (30, 31, 144, 31)]),
 ]
 
 
@@ -249,6 +261,25 @@ class TestGoldenCounters:
             assert relerr == rec.relerr
 
 
+class TestSketchedRecyclingUpdate:
+    def test_clustered_ritz_values_do_not_skip_updates(self):
+        # twenty eigenvalues near the origin: the Ritz vectors of
+        # R^{-1} Q* S A Vhat look defective through cond(R), those of the
+        # whitened matrix do not, so every update is taken and U pays off
+        common = dict(
+            function=INVSQRT, num_problems=5, m=AdaptiveM(reltol=1e-8, d=10, m_max=220),
+            matrix_source=GeneratorSource("twocluster", {"N": 200, "nsmall": 20, "seed": 11}),
+            k=20, s=256, t=8, seed=5, perturbation=1e-8, timing_reps=1)
+        for method in ("srfom", "srfom_stab"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                recs = run_sequence(SequenceSpec(method=method, **common))
+            assert not [w for w in caught if "recycling update skipped" in str(w.message)]
+            assert all(r.converged and r.relerr <= 10 * 1e-8 for r in recs)
+            # a stale U needs m = 110 at every problem: 555 matvecs
+            assert sum(r.matvecs for r in recs) < 500, method
+
+
 class TestSketchedQR:
     def test_srfom_factors_sketched_basis_once(self, monkeypatch):
         # the approximant's QR of S Vhat is the one the recycling update takes
@@ -282,10 +313,6 @@ class TestSpecValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             _spec(method="cg")
-
-    def test_unknown_epsilon_mode(self):
-        with pytest.raises(ConfigError):
-            _spec(epsilon_mode="fixd")
 
     def test_adaptive_validation(self):
         with pytest.raises(ConfigError):
