@@ -14,14 +14,12 @@ import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .linalg import (lu_solve, partial_schur_closest_to_origin, qr_econ,
-                     right_div_triangular, svd_truncated)
+from .linalg import lu_solve, qr_econ, right_div_triangular, svd_truncated, whiten
 from .matfun import matfun_apply
-from .recycle import RecycleState, propagate_AU, update_sketched, update_sketched_stab
+from .recycle import RecycleState, propagate_AU, update_orthonormal, update_sketched
 from .sketch import sketch_apply, sketch_av_from_arnoldi
 from .sparse import csr_matvec
 
-_RANK_TOL = 1e-13       # relative R-diagonal cutoff for the whitened path
 _COND_LIMIT = 1e14      # condition estimate cutoff for sgmres_type
 _DROP_TOL = 1e-12       # augmented-basis column drop threshold
 
@@ -209,11 +207,11 @@ class AugmentedBasis:
         A U_new = A [U, V_m] R^{-1} X comes from the cached A U and the
         Arnoldi relation.
         """
-        ps = partial_schur_closest_to_origin(self.G, min(k, self.n))
-        Y = scipy.linalg.solve_triangular(self.R, ps.X)
+        U, ritz, X = update_orthonormal(self.Q, self.G, min(k, self.n))
+        Y = scipy.linalg.solve_triangular(self.R, X)
         AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
-        return RecycleState(U=self.Q @ ps.X, AU=AU_new, matrix_epoch=self.matrix_epoch,
-                            k_target=k, ritz_values=np.diagonal(ps.T).copy())
+        return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,
+                            k_target=k, ritz_values=ritz)
 
 
 @dataclass
@@ -241,41 +239,21 @@ def rfom_step(A, b, U, m, f, AU=None, counters=None):
                       R=aug.R, fac=fac, k_used=aug.k)
 
 
-def sfom_whitened(Vhat, SV, SAV, Sb, f, qr=None):
-    """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV.
+def _whitened(Vhat, C, w, Sb, f):
+    """Sketched FOM over one whitening of S Vhat: coeffs = J D^{-1} f(G) C* S b."""
+    y = matfun_apply(f, w.G, C.conj().T @ np.asarray(Sb))
+    ell = None if w.J is None else w.J.shape[1]
+    return Approximant(coeffs=w.back(y), basis=np.asarray(Vhat), ell=ell)
 
-    qr is the QR of SV when the caller has already taken it.
-    """
-    SV = np.asarray(SV)
-    SAV = np.asarray(SAV)
-    if SV.shape != SAV.shape:
-        raise DimensionMismatchError("SV and SAV must have equal shapes")
-    if qr is None:
-        qr = qr_econ(SV)
-    d = np.abs(np.diagonal(qr.R))
-    if d.size and (d.min() <= _RANK_TOL * d.max()):
-        raise RankDeficiencyError(
-            "sketched basis is numerically rank-deficient; use srfom_stab"
-        )
-    G = right_div_triangular(qr.Q.conj().T @ SAV, qr.R)
-    y = matfun_apply(f, G, qr.Q.conj().T @ np.asarray(Sb))
-    coeffs = scipy.linalg.solve_triangular(qr.R, y)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat))
+
+def sfom_whitened(Vhat, SV, SAV, Sb, f):
+    """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV."""
+    return _whitened(Vhat, *whiten(SV, SAV), Sb, f)
 
 
 def srfom_stab(Vhat, SV, SAV, Sb, f, svdtol=1e-14):
-    """Truncated-SVD stabilized sketched FOM approximant.
-
-    The SVD of SV is truncated at the largest ell with
-    sigma_ell >= svdtol * sigma_1 (relative form; near-unit-norm sketched
-    columns make this coincide with an absolute cutoff).
-    """
-    SAV = np.asarray(SAV)
-    L, sig, J = svd_truncated(SV, svdtol)
-    G = (L.conj().T @ SAV @ J) / sig[np.newaxis, :]
-    y = matfun_apply(f, G, L.conj().T @ np.asarray(Sb))
-    coeffs = J @ (y / sig)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=sig.size)
+    """Stabilized sketched FOM over the SVD of SV cut at sigma_ell >= svdtol * sigma_1."""
+    return _whitened(Vhat, *whiten(SV, SAV, svdtol), Sb, f)
 
 
 class SketchedBasis:
@@ -288,19 +266,16 @@ class SketchedBasis:
     from the recycling state; on a new matrix epoch S A U is formed again
     at k matvecs and k sketches, unless the update is inexact.
 
-    Vhat, SVhat, SAVhat, qr and matrix_epoch are what update_sketched reads.
+    approximant() whitens S Vhat once (by the truncated SVD if stabilized) and
+    keeps it: Vhat, SVhat, SAVhat, whitening, matrix_epoch feed update_sketched.
     """
 
     def __init__(self, A, S, recycle=None, matrix_epoch=None, counters=None,
                  stabilized=False, svdtol=1e-14, inexact=False):
         self.S, self.counters = S, counters
         self.matrix_epoch = matrix_epoch
-        self.stabilized, self.svdtol = stabilized, svdtol
-        # the unstabilized approximant's QR of SVhat, kept for the recycling
-        # update when one follows (not for sFOM, whose k_target is 0)
-        self.qr = None
-        self.keeps_qr = recycle is not None and recycle.k_target > 0
-        self.fac = self.SV = self.s_next = None
+        self.svdtol = svdtol if stabilized else None  # None: whiten by QR
+        self.fac = self.SV = self.s_next = self.whitening = None
         self.k = 0 if recycle is None else recycle.k
         self.U = self.SU = self.SAU = None
         if self.k:
@@ -328,7 +303,8 @@ class SketchedBasis:
         self.SV = np.column_stack(cols if self.SV is None else [self.SV] + cols)
         self.s_next = (None if fac.breakdown is not None
                        else sketch_apply(self.S, fac.v_next, self.counters))
-        self.fac, self.qr = fac, None
+        # the previous Vhat's whitening is stale; freeing it lowers the peak
+        self.fac, self.whitening = fac, None
         SAV = sketch_av_from_arnoldi(self.S, fac, self.SV, self.s_next)
         if self.k:
             self.Vhat = np.column_stack([self.U, fac.V])
@@ -340,12 +316,8 @@ class SketchedBasis:
     def approximant(self, b, f):
         """Sketched FOM approximant; S b is recovered from S v_1."""
         Sb = np.linalg.norm(b) * self.SV[:, 0]
-        if self.stabilized:
-            return srfom_stab(self.Vhat, self.SVhat, self.SAVhat, Sb, f, svdtol=self.svdtol)
-        qr = self.qr if self.qr is not None else qr_econ(self.SVhat)
-        if self.keeps_qr:
-            self.qr = qr
-        return sfom_whitened(self.Vhat, self.SVhat, self.SAVhat, Sb, f, qr=qr)
+        C, self.whitening = whiten(self.SVhat, self.SAVhat, self.svdtol)
+        return _whitened(self.Vhat, C, self.whitening, Sb, f)
 
     def norm(self, y):
         """Sketched norm ||S Vhat y||, the estimator's stand-in for ||Vhat y||."""
@@ -353,9 +325,6 @@ class SketchedBasis:
 
     def recycle(self, k):
         """Recycling state for the next problem by sketched Rayleigh-Ritz."""
-        if self.stabilized:
-            return update_sketched_stab(self.Vhat, self.SVhat, self.SAVhat, k,
-                                        svdtol=self.svdtol, matrix_epoch=self.matrix_epoch)
         return update_sketched(self, k)
 
 

@@ -33,7 +33,7 @@ class AdaptiveM:
     m_max: int = 300
 
     def __post_init__(self):
-        if self.reltol <= 0:
+        if not self.reltol > 0:  # also rejects nan
             raise ConfigError("reltol must be positive")
         if self.d < 1 or self.m_max < self.d:
             raise ConfigError("need 1 <= d <= m_max")
@@ -79,6 +79,8 @@ class SequenceSpec:
             raise ConfigError(f"unknown rhs rule {self.rhs_rule!r}")
         if self.stop_rule not in ("estimator", "oracle"):
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
+        if self.t < 1:
+            raise ConfigError("need t >= 1")
         m_top = self.m.m_max if isinstance(self.m, AdaptiveM) else self.m
         if self.uses_sketching:
             if self.s <= 0:
@@ -230,17 +232,15 @@ def _check_stop(spec, approx, prev_coeffs, oracle, b, basis):
     """
     if spec.stop_rule == "oracle":
         exact = oracle.solve(b)
-        if exact is None:
-            raise ConfigError("oracle stopping requires N within the oracle cap")
         err = np.linalg.norm(approx.full_vector() - exact) / np.linalg.norm(exact)
-        return err <= spec.m.reltol, float(err)
+        return bool(err <= spec.m.reltol), float(err)
     if prev_coeffs is None:
         return False, None
     y = approx.coeffs
     diff = y - np.pad(prev_coeffs, (0, y.shape[0] - prev_coeffs.shape[0]))
     scale = basis.norm(y)
     rel = basis.norm(diff) / scale if scale > 0 else np.inf
-    return rel <= spec.m.reltol, float(rel)
+    return bool(rel <= spec.m.reltol), float(rel)
 
 
 def _run_once(spec, A0):
@@ -310,6 +310,10 @@ def run_sequence(spec):
     reported wall times are the per-problem medians over the repetitions.
     """
     A0 = load_matrix(spec.matrix_source, spec.shift)
+    if (spec.stop_rule == "oracle" and isinstance(spec.m, AdaptiveM)
+            and A0.nrows > spec.oracle_cap):
+        raise ConfigError(f"oracle stopping requires N = {A0.nrows} within the "
+                          f"oracle cap {spec.oracle_cap}")
     reps = max(1, spec.timing_reps)
     all_runs = [_run_once(spec, A0) for _ in range(reps)]
     records = all_runs[-1]
@@ -373,9 +377,12 @@ def _parse_int(text):
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_number(text):
@@ -393,12 +400,7 @@ def _parse_complex(text):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) not in (1, 2):
         raise ConfigError(f"shift must be 're' or 're,im', got {text!r}")
-    try:
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) == 2 else 0.0
-    except ValueError:
-        raise ConfigError(f"non-numeric shift {text!r}") from None
-    return complex(re, im)
+    return complex(*(_parse_float(p) for p in parts))
 
 
 def _parse_bool(text):

@@ -89,6 +89,47 @@ def svd_truncated(M, svdtol):
     return dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
 
 
+def check_sketched_rank(R):
+    """Raise RankDeficiencyError unless min |R_jj| > 1e-13 max |R_jj|."""
+    d = np.abs(np.diagonal(R))
+    if d.size and d.min() <= 1e-13 * d.max():
+        raise RankDeficiencyError(
+            "sketched basis is numerically rank-deficient; use the stabilized form")
+
+
+@dataclass(frozen=True)
+class Whitening:
+    """S Vhat = C D J* with C, J orthonormal, and G = C* S A Vhat J D^{-1}.
+
+    QR form: D = R and J = I (None).  SVD form: D = diag(sigma), kept as sigma.
+    """
+
+    G: np.ndarray
+    D: np.ndarray
+    J: np.ndarray | None = None
+
+    def back(self, Z, orth=False):
+        """J D^{-1} Z, or J orth(D^{-1} Z): whitened coordinates to Vhat coordinates."""
+        Z = scipy.linalg.solve_triangular(self.D, Z) if self.J is None else (Z.T / self.D).T
+        if orth:
+            Z = np.linalg.qr(Z)[0]
+        return Z if self.J is None else self.J @ Z
+
+
+def whiten(SV, SAV, svdtol=None):
+    """(C, Whitening) of SV = S Vhat, SAV = S A Vhat: by a rank-checked QR, or
+    with svdtol by the SVD truncated at svdtol * sigma_1.  C is not kept."""
+    SV, SAV = np.asarray(SV), np.asarray(SAV)
+    if SV.shape != SAV.shape:
+        raise DimensionMismatchError("SV and SAV must have equal shapes")
+    if svdtol is None:
+        qr = qr_econ(SV)
+        check_sketched_rank(qr.R)
+        return qr.Q, Whitening(G=right_div_triangular(qr.Q.conj().T @ SAV, qr.R), D=qr.R)
+    L, sig, J = svd_truncated(SV, svdtol)
+    return L, Whitening(G=(L.conj().T @ SAV @ J) / sig[np.newaxis, :], D=sig, J=J)
+
+
 def eig_dense(M):
     """Eigendecomposition of a small square matrix.
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, EpochMismatchError, RankDeficiencyError
-from .linalg import partial_schur_closest_to_origin, qr_econ, right_div_triangular, svd_truncated
+from .errors import DimensionMismatchError, EpochMismatchError
+from .linalg import check_sketched_rank, partial_schur_closest_to_origin, whiten
 
 
 @dataclass
@@ -40,61 +40,45 @@ def update_orthonormal(basis, G, k):
     """Extract a k-dimensional orthonormal U from an orthonormal working basis.
 
     G must be basis* A basis; the eigenvalues of G closest to the origin are
-    targeted.  Returns (U, ritz_values).
+    targeted.  Returns (U, ritz_values, X) with U = basis X.
     """
-    if k == 0:
-        return np.zeros((basis.shape[0], 0), dtype=np.complex128), np.zeros(0, dtype=np.complex128)
     ps = partial_schur_closest_to_origin(G, k)
-    return np.asarray(basis) @ ps.X, np.diagonal(ps.T).copy()
-
-
-def _check_sketched_rank(qr):
-    d = np.abs(np.diagonal(qr.R))
-    if d.size and d.min() <= 1e-13 * d.max():
-        raise RankDeficiencyError("singular R in sRR; use update_sketched_stab")
+    return np.asarray(basis) @ ps.X, np.diagonal(ps.T).copy(), ps.X
 
 
 def srr_matrix(qr, SAV):
     """Sketched Rayleigh-Ritz matrix R^{-1} Q* (S A Vhat) from the QR of S Vhat."""
-    _check_sketched_rank(qr)
+    check_sketched_rank(qr.R)
     return scipy.linalg.solve_triangular(qr.R, qr.Q.conj().T @ np.asarray(SAV))
 
 
 def update_sketched(bundle, k):
-    """Sketched Rayleigh-Ritz recycling update from a sketched FOM bundle.
-
-    Ritz pairs of sfom_whitened's G = Q* S A Vhat R^{-1}, whose eigenvectors do
-    not carry cond(R) as srr_matrix's do; U = Vhat orth(R^{-1} X).
-    """
-    qr = bundle.qr if bundle.qr is not None else qr_econ(bundle.SVhat)
-    _check_sketched_rank(qr)
-    G = right_div_triangular(qr.Q.conj().T @ np.asarray(bundle.SAVhat), qr.R)
-    ps = partial_schur_closest_to_origin(G, min(k, G.shape[0]))
-    Y = np.linalg.qr(scipy.linalg.solve_triangular(qr.R, ps.X))[0]
-    return _sketched_state(bundle.Vhat, bundle.SVhat, bundle.SAVhat, Y, ps, k,
-                           bundle.matrix_epoch)
+    """Sketched Rayleigh-Ritz update over the whitening of the bundle's last
+    approximant (a bundle without one is whitened by QR here)."""
+    w = bundle.whitening or whiten(bundle.SVhat, bundle.SAVhat)[1]
+    return _whitened_update(bundle.Vhat, bundle.SVhat, bundle.SAVhat, w, k,
+                            bundle.matrix_epoch)
 
 
 def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None):
-    """Stabilized recycling update from the truncated SVD S Vhat ~ L Sigma J*.
+    """Recycling update from raw arrays over the truncated SVD S Vhat ~ L Sigma J*."""
+    return _whitened_update(Vhat, SVhat, SAVhat, whiten(SVhat, SAVhat, svdtol)[1], k,
+                            matrix_epoch)
 
-    Ritz pairs of srfom_stab's G = L* S A Vhat J Sigma^{-1}; U = Vhat J orth(Sigma^{-1} X).
-    If fewer than k singular values survive the cutoff, k is reduced with a warning.
+
+def _whitened_update(Vhat, SVhat, SAVhat, w, k, matrix_epoch):
+    """U = Vhat J orth(D^{-1} X) for the k Ritz vectors X of the whitened G, and
+    S U, S A U alike; k is capped at the order of G, with a warning in the SVD form.
+
+    The Ritz vectors of G do not carry cond(R) as those of srr_matrix do.
     """
-    L, sig, J = svd_truncated(SVhat, svdtol)
-    if sig.size < k:
-        warnings.warn(f"stabilized update reduced k from {k} to {sig.size}", stacklevel=2)
-        k = sig.size
-    G = (L.conj().T @ np.asarray(SAVhat) @ J) / sig[np.newaxis, :]
-    ps = partial_schur_closest_to_origin(G, k)
-    Y = J @ np.linalg.qr(ps.X / sig[:, np.newaxis])[0]
-    return _sketched_state(Vhat, SVhat, SAVhat, Y, ps, k, matrix_epoch)
-
-
-def _sketched_state(Vhat, SVhat, SAVhat, X, ps, k, matrix_epoch):
-    """The state spanned by Vhat X: U, S U and S A U by right-multiplication."""
-    return RecycleState(U=np.asarray(Vhat) @ X, SU=np.asarray(SVhat) @ X,
-                        SAU=np.asarray(SAVhat) @ X, matrix_epoch=matrix_epoch,
+    ell = min(k, w.G.shape[0])
+    if ell < k and w.J is not None:
+        warnings.warn(f"stabilized update reduced k from {k} to {ell}", stacklevel=3)
+    ps = partial_schur_closest_to_origin(w.G, ell)
+    Y = w.back(ps.X, orth=True)
+    return RecycleState(U=np.asarray(Vhat) @ Y, SU=np.asarray(SVhat) @ Y,
+                        SAU=np.asarray(SAVhat) @ Y, matrix_epoch=matrix_epoch,
                         k_target=k, ritz_values=np.diagonal(ps.T).copy())
 
 
@@ -114,9 +98,14 @@ def propagate_AU(prev_AU, fac, X_kry, X_aug):
         prev_AU = np.zeros((fac.V.shape[0], 0), dtype=np.complex128)
     elif prev_AU.shape[1] != X_aug.shape[0]:
         raise EpochMismatchError("cached AU width does not match X_aug rows")
-    out = fac.V @ (fac.square_h() @ X_kry) + prev_AU @ X_aug
-    if fac.breakdown is None:
-        out += np.outer(fac.h_tail * fac.v_next, X_kry[-1, :])
+    out = fac.V @ (fac.square_h() @ X_kry)
+    hv = fac.h_tail * fac.v_next if fac.breakdown is None else None
+    # by blocks of rows: no N x k temporary next to the caller's new U
+    for i in range(0, out.shape[0], 4096):
+        rows = slice(i, i + 4096)
+        out[rows] += prev_AU[rows] @ X_aug
+        if hv is not None:
+            out[rows] += np.outer(hv[rows], X_kry[-1, :])
     return out
 
 

@@ -299,7 +299,7 @@ def test_criterion_8_stabilization_robustness():
 
     bundle = _Bundle()
     bundle.Vhat, bundle.SVhat, bundle.SAVhat = Vhat, SVhat, SAVhat
-    bundle.qr, bundle.fac, bundle.matrix_epoch = None, fac, 0
+    bundle.whitening, bundle.fac, bundle.matrix_epoch = None, fac, 0
     with pytest.raises(RankDeficiencyError):
         update_sketched(bundle, 3)
     state = update_sketched_stab(Vhat, SVhat, SAVhat, 3, matrix_epoch=0)

@@ -71,6 +71,11 @@ def test_error_exit_code(tmp_path, capsys):
         (good.replace("method = fom", "method = rfom") + "k = 1.5\n", "'k'"),
         (good.replace("function = inv", "function = sqrt"), "'function'"),
         (good.replace("method = fom", "method = sfom") + "s = 100\n", "s=100"),
+        (good.replace("method = fom", "method = sfom") + "s = 40\nt = 0\n", "t >= 1"),
+        (good + "shift = nan\n", "'shift'"),
+        (good.replace("function = inv", "function = exp") + "tau = inf\n", "'tau'"),
+        (good + "adaptive = true\nreltol = nan\n", "'reltol'"),
+        (good + "adaptive = true\nstop_rule = oracle\noracle_cap = 10\n", "oracle cap"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])

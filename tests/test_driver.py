@@ -8,7 +8,6 @@ import pytest
 import krec.approximants
 import krec.driver
 import krec.linalg
-import krec.recycle
 from krec import (
     EXP,
     INV,
@@ -17,8 +16,11 @@ from krec import (
     ConfigError,
     Counters,
     GeneratorSource,
+    MODE_TRUNCATED,
     MatrixMarketSource,
     SequenceSpec,
+    arnoldi_build,
+    arnoldi_extend,
     build_spec,
     emit_csv,
     exp_scaled,
@@ -280,21 +282,52 @@ class TestSketchedRecyclingUpdate:
             assert sum(r.matvecs for r in recs) < 500, method
 
 
+def _count_sketched_factorizations(monkeypatch, s):
+    """Shapes of the QRs and SVDs taken of s-row matrices, the sketched bases."""
+    shapes = []
+    for name in ("qr_econ", "svd_econ"):
+        real = getattr(krec.linalg, name)
+
+        def counted(M, *args, _real=real, _name=name, **kwargs):
+            if M.shape[0] == s:
+                shapes.append((_name, M.shape))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(krec.linalg, name, counted)
+    return shapes
+
+
 class TestSketchedQR:
     def test_srfom_factors_sketched_basis_once(self, monkeypatch):
         # the approximant's QR of S Vhat is the one the recycling update takes
-        shapes = []
-        real = krec.linalg.qr_econ
-
-        def counted(M, counters=None):
-            shapes.append(M.shape)
-            return real(M, counters)
-
-        monkeypatch.setattr(krec.approximants, "qr_econ", counted)
-        monkeypatch.setattr(krec.recycle, "qr_econ", counted)
+        shapes = _count_sketched_factorizations(monkeypatch, 80)
         recs = run_sequence(_spec(method="srfom", m=20, k=5, s=80, num_problems=3))
         assert all(r.converged for r in recs)
-        assert shapes == [(80, 20), (80, 25), (80, 25)]
+        assert [shape for _, shape in shapes] == [(80, 20), (80, 25), (80, 25)]
+
+    @pytest.mark.parametrize("method, kind", [("srfom", "qr_econ"),
+                                              ("srfom_stab", "svd_econ")])
+    def test_one_whitening_per_step_none_in_recycle(self, monkeypatch, method, kind):
+        A = gen_hpd(N=120, seed=1)
+        S, k, s = sketch_new(120, 80, 0), 4, 80
+        rng = np.random.default_rng(0)
+        state = None
+        shapes = _count_sketched_factorizations(monkeypatch, s)
+        for _ in range(2):
+            b = rng.standard_normal(120).astype(np.complex128)
+            basis = krec.approximants.SketchedBasis(
+                A, S, state, 0, stabilized=method == "srfom_stab", svdtol=1e-12)
+            fac = None
+            for m in (10, 20):
+                fac = (arnoldi_build(A, b, m, mode=MODE_TRUNCATED) if fac is None
+                       else arnoldi_extend(fac, A, m))
+                basis.extend(fac)
+                del shapes[:]
+                basis.approximant(b, INVSQRT)
+                assert shapes == [(kind, (s, m + basis.k))]
+            del shapes[:]
+            state = basis.recycle(k)
+            assert shapes == [] and state.k == k
 
 
 class TestSpecValidation:
@@ -319,6 +352,28 @@ class TestSpecValidation:
             AdaptiveM(reltol=0.0)
         with pytest.raises(ConfigError):
             AdaptiveM(reltol=1e-8, d=10, m_max=5)
+        with pytest.raises(ConfigError):
+            AdaptiveM(reltol=float("nan"))  # could never stop early
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_truncation_length_at_least_one(self, t):
+        # t <= 0 made truncated Arnoldi charge negative inner products
+        with pytest.raises(ConfigError):
+            _spec(method="sfom", s=40, m=10, t=t)
+
+    def test_oracle_stop_above_cap_rejected_before_solving(self):
+        spec = _spec(m=AdaptiveM(reltol=1e-6, d=10, m_max=60), stop_rule="oracle",
+                     oracle_cap=100)
+        with pytest.raises(ConfigError, match="oracle cap"):
+            run_sequence(spec)
+        # fixed m never consults the stop rule
+        assert len(run_sequence(dataclasses.replace(spec, m=10))) == 2
+
+    def test_converged_is_a_python_bool(self):
+        for m in (20, AdaptiveM(reltol=1e-6, d=10, m_max=60)):
+            for stop_rule in ("estimator", "oracle"):
+                recs = run_sequence(_spec(m=m, stop_rule=stop_rule))
+                assert all(type(r.converged) is bool for r in recs)
 
 
 class TestParsing:

@@ -4,11 +4,15 @@ import pytest
 from krec import (
     INV,
     INVSQRT,
+    MODE_TRUNCATED,
+    AugmentedBasis,
     Counters,
     CSRMatrix,
     RankDeficiencyError,
     RecycleState,
+    SketchedBasis,
     arnoldi_build,
+    arnoldi_extend,
     csr_matvec,
     eig_dense,
     propagate_AU,
@@ -48,13 +52,13 @@ class TestUpdateOrthonormal:
         b = np.ones(10, dtype=np.complex128) / np.sqrt(10)
         fac = arnoldi_build(A, b, 10)
         G = fac.V.conj().T @ A.to_dense() @ fac.V
-        U, ritz = update_orthonormal(fac.V, G, 2)
+        U, ritz, _ = update_orthonormal(fac.V, G, 2)
         want = np.eye(10)[:, :2]  # eigenvectors of eigenvalues {1, 2}
         assert _subspace_angle(U, want) <= 1e-10
         np.testing.assert_allclose(sorted(ritz.real), [1.0, 2.0], atol=1e-10)
 
     def test_k_zero(self):
-        U, ritz = update_orthonormal(np.eye(5, dtype=np.complex128), np.eye(5), 0)
+        U, ritz, _ = update_orthonormal(np.eye(5, dtype=np.complex128), np.eye(5), 0)
         assert U.shape == (5, 0) and ritz.shape == (0,)
 
     def test_hermitian_ritz_values(self):
@@ -66,7 +70,7 @@ class TestUpdateOrthonormal:
         b = _random_complex(rng, 10)
         fac = arnoldi_build(A, b, 9)
         G = fac.V.conj().T @ dense @ fac.V
-        _, ritz = update_orthonormal(fac.V, G, 2)
+        _, ritz, _ = update_orthonormal(fac.V, G, 2)
         np.testing.assert_allclose(np.sort(ritz.real), np.sort(lam[:2]), atol=1e-6)
 
 
@@ -308,3 +312,31 @@ def test_update_paths_full_rank_invariant():
         assert sv[-1] >= 1e-10 * sv[0]
         norms = np.linalg.norm(state.U, axis=0)
         assert np.all((norms >= 1e-8) & (norms <= 1e8))
+
+
+@pytest.mark.parametrize("method", ["rfom", "srfom", "srfom_stab"])
+def test_ritz_values_are_smallest_eigenvalues_of_approximant_G(method):
+    # recycle(k) reads the projected matrix of the last approximant; it
+    # forms no second one
+    rng = np.random.default_rng(21)
+    A = _random_hpd(rng, 90)
+    S = sketch_new(90, 70, seed=12)
+    state, k = RecycleState.empty(90, k_target=4), 4
+    for _ in range(2):
+        b = _random_complex(rng, 90)
+        if method == "rfom":
+            basis = AugmentedBasis(A, state.U, state.AU, matrix_epoch=0)
+            fac = arnoldi_build(A, b, 10)
+        else:
+            basis = SketchedBasis(A, S, state, 0, stabilized=method == "srfom_stab",
+                                  svdtol=1e-12)
+            fac = arnoldi_build(A, b, 10, mode=MODE_TRUNCATED)
+        basis.extend(fac)
+        basis.extend(arnoldi_extend(fac, A, 20))
+        basis.approximant(b, INVSQRT)
+        G = basis.G if method == "rfom" else basis.whitening.G
+        state = basis.recycle(k)
+        lam = eig_dense(G)[0]
+        want = np.sort_complex(lam[np.argsort(np.abs(lam), kind="stable")[:k]])
+        got = np.sort_complex(state.ritz_values)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(lam))
