@@ -52,7 +52,6 @@ from .errest import (
 )
 from .errors import (
     ConfigError,
-    DefectiveClusterError,
     DimensionMismatchError,
     DomainError,
     EigConvergenceError,

@@ -203,11 +203,11 @@ class AugmentedBasis:
     def recycle(self, k):
         """Recycling state for the next problem, with U and A U, no matvecs.
 
-        U_new = Q X holds the k Ritz vectors of G closest to the origin, and
-        A U_new = A [U, V_m] R^{-1} X comes from the cached A U and the
-        Arnoldi relation.
+        U_new = Q X spans the min(k, n) Ritz vectors of G closest to the
+        origin, and A U_new = A [U, V_m] R^{-1} X comes from the cached A U
+        and the Arnoldi relation.
         """
-        U, ritz, X = update_orthonormal(self.Q, self.G, min(k, self.n))
+        U, ritz, X = update_orthonormal(self.Q, self.G, k)
         Y = scipy.linalg.solve_triangular(self.R, X)
         AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,

@@ -81,14 +81,15 @@ class SequenceSpec:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.t < 1:
             raise ConfigError("need t >= 1")
-        m_top = self.m.m_max if isinstance(self.m, AdaptiveM) else self.m
+        m_top, m_key = ((self.m.m_max, "m_max") if isinstance(self.m, AdaptiveM)
+                        else (self.m, "m"))
         if self.uses_sketching:
             if self.s <= 0:
                 raise ConfigError("sketched methods require s > 0")
             if m_top >= self.s:
-                raise ConfigError("need m < s for sketched methods")
+                raise ConfigError(f"need {m_key} < s for sketched methods")
         if self.uses_recycling and not 0 <= self.k < m_top:
-            raise ConfigError("need 0 <= k < m for recycled methods")
+            raise ConfigError(f"need 0 <= k < {m_key} for recycled methods")
 
     @property
     def uses_sketching(self):

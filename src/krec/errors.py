@@ -21,10 +21,6 @@ class EigConvergenceError(KrecError):
     """The dense eigenvalue iteration did not converge."""
 
 
-class DefectiveClusterError(KrecError):
-    """The selected eigenvector block is numerically rank-deficient."""
-
-
 class DomainError(KrecError):
     """An eigenvalue lies (numerically) in the forbidden set of the scalar function."""
 

@@ -12,7 +12,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DefectiveClusterError,
     DimensionMismatchError,
     EigConvergenceError,
     RankDeficiencyError,
@@ -159,32 +158,31 @@ def eigvals_dense(M):
         raise EigConvergenceError(str(exc)) from exc
 
 
-def partial_schur_closest_to_origin(M, k, rank_tol=1e-10):
-    """Partial Schur form M X = X T for the k eigenvalues of smallest modulus.
+def partial_schur_closest_to_origin(M, k):
+    """Partial Schur form M X = X T for the min(k, n) eigenvalues of smallest modulus.
 
-    Eigenvalues are sorted by ascending modulus (ties by ascending complex
-    argument) and the selected eigenvector block is orthonormalized; the
-    nested column spans make X* M X upper triangular for diagonalizable M.
+    One complex Schur form of M, reordered (Stewart, SIMAX 2001) so that the
+    selected eigenvalues lead the diagonal in ascending modulus, ties by
+    ascending argument; X is the leading block of Schur vectors.  No
+    eigenvector is formed, so a defective cluster is no special case.
     """
     M = _as_complex_matrix(M)
-    n = M.shape[0]
-    if k > n:
-        raise DimensionMismatchError("k must not exceed dim(M)")
-    if k == 0:
-        return PartialSchur(X=np.zeros((n, 0), dtype=np.complex128),
-                            T=np.zeros((0, 0), dtype=np.complex128))
-    lam, W = eig_dense(M)
-    order = np.lexsort((np.angle(lam), np.abs(lam)))
-    block = W[:, order[:k]]
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < rank_tol:
-        raise DefectiveClusterError(
-            f"selected {k}-dimensional eigenvector cluster is numerically defective "
-            f"(singular value ratio {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.2e})"
-        )
-    X = qr_econ(block).Q
-    T = np.triu(X.conj().T @ M @ X)
-    return PartialSchur(X=X, T=T)
+    if k < 0:
+        raise DimensionMismatchError("k must be nonnegative")
+    if not np.all(np.isfinite(M)):
+        raise EigConvergenceError("matrix has non-finite entries")
+    try:
+        T, Z = scipy.linalg.schur(M, output="complex", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigConvergenceError(str(exc)) from exc
+    k = min(k, M.shape[0])
+    for j in range(k):
+        lam = np.diagonal(T)[j:]
+        best = j + int(np.lexsort((np.angle(lam), np.abs(lam)))[0])
+        if best != j:
+            T, Z, _ = scipy.linalg.lapack.ztrexc(T, Z, best + 1, j + 1,
+                                                 overwrite_a=True, overwrite_q=True)
+    return PartialSchur(X=Z[:, :k], T=np.triu(T[:k, :k]))
 
 
 def right_div_triangular(P, R):

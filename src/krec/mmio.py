@@ -15,8 +15,8 @@ def read_matrix_market(path):
 
     Real or complex fields and general/symmetric/hermitian banners are
     supported; symmetric storage is expanded, 1-based indices converted, and
-    duplicate entries summed.  Malformed content raises MatrixMarketError
-    with the offending line number.
+    duplicate entries summed.  Malformed content, or a nan or inf entry,
+    raises MatrixMarketError with the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -71,6 +71,8 @@ def read_matrix_market(path):
                 v = complex(float(parts[2]))
         except ValueError:
             raise MatrixMarketError(lineno, "malformed entry") from None
+        if not np.isfinite(v):
+            raise MatrixMarketError(lineno, f"non-finite entry {v}")
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(lineno, f"index ({i},{j}) out of bounds")
         rows.append(i - 1)

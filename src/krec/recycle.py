@@ -7,7 +7,6 @@ products SU / SAU and the optional exact AU are tagged with the matrix epoch
 they were computed against.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,8 @@ class RecycleState:
 
 
 def update_orthonormal(basis, G, k):
-    """Extract a k-dimensional orthonormal U from an orthonormal working basis.
+    """Extract an orthonormal U of min(k, order of G) columns from an orthonormal
+    working basis.
 
     G must be basis* A basis; the eigenvalues of G closest to the origin are
     targeted.  Returns (U, ritz_values, X) with U = basis X.
@@ -67,15 +67,12 @@ def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None
 
 
 def _whitened_update(Vhat, SVhat, SAVhat, w, k, matrix_epoch):
-    """U = Vhat J orth(D^{-1} X) for the k Ritz vectors X of the whitened G, and
-    S U, S A U alike; k is capped at the order of G, with a warning in the SVD form.
+    """U = Vhat J orth(D^{-1} X) for the Schur vectors X of the min(k, order)
+    Ritz values of the whitened G closest to the origin, and S U, S A U alike.
 
     The Ritz vectors of G do not carry cond(R) as those of srr_matrix do.
     """
-    ell = min(k, w.G.shape[0])
-    if ell < k and w.J is not None:
-        warnings.warn(f"stabilized update reduced k from {k} to {ell}", stacklevel=3)
-    ps = partial_schur_closest_to_origin(w.G, ell)
+    ps = partial_schur_closest_to_origin(w.G, k)
     Y = w.back(ps.X, orth=True)
     return RecycleState(U=np.asarray(Vhat) @ Y, SU=np.asarray(SVhat) @ Y,
                         SAU=np.asarray(SAVhat) @ Y, matrix_epoch=matrix_epoch,

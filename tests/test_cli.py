@@ -76,6 +76,11 @@ def test_error_exit_code(tmp_path, capsys):
         (good.replace("function = inv", "function = exp") + "tau = inf\n", "'tau'"),
         (good + "adaptive = true\nreltol = nan\n", "'reltol'"),
         (good + "adaptive = true\nstop_rule = oracle\noracle_cap = 10\n", "oracle cap"),
+        # adaptive runs are bounded by m_max, and the message says so
+        (good.replace("method = fom", "method = sfom")
+         + "s = 20\nadaptive = true\nm_max = 20\n", "need m_max < s"),
+        (good.replace("method = fom", "method = rfom")
+         + "k = 25\nadaptive = true\nm_max = 20\n", "need 0 <= k < m_max"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])
@@ -99,3 +104,14 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_non_finite_matrix_market_entry_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n1 1 1.0\n2 2 nan\n", encoding="utf-8")
+    code = main(["run", "--function", "inv", "--method", "fom", "--m", "2",
+                 "--matrix", str(path), "--timing-reps", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "line 4" in err

@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import krec.approximants
 import krec.driver
 import krec.linalg
+import krec.recycle
 from krec import (
     EXP,
     INV,
@@ -15,9 +17,11 @@ from krec import (
     AdaptiveM,
     ConfigError,
     Counters,
+    DenseOracle,
     GeneratorSource,
     MODE_TRUNCATED,
     MatrixMarketSource,
+    RecycleState,
     SequenceSpec,
     arnoldi_build,
     arnoldi_extend,
@@ -280,6 +284,62 @@ class TestSketchedRecyclingUpdate:
             assert all(r.converged and r.relerr <= 10 * 1e-8 for r in recs)
             # a stale U needs m = 110 at every problem: 555 matvecs
             assert sum(r.matvecs for r in recs) < 500, method
+
+
+class TestRecyclingUpdate:
+    _COMMON = dict(function=INV, k=6, s=120, t=4, seed=2, timing_reps=1,
+                   num_problems=4, matrix_source=GeneratorSource("hpd", {"N": 90, "seed": 1}))
+
+    def test_first_problem_shorter_than_k(self):
+        # the first problem stops at m = 10 < k: U takes every Ritz vector of
+        # its G, state.k is the k used and k_target the k asked for
+        A, k = load_matrix(self._COMMON["matrix_source"]), 15
+        N = A.nrows
+        b = np.random.default_rng(0).standard_normal(N) + 0j
+        for method in ("rfom", "srfom", "srfom_stab"):
+            spec = SequenceSpec(**dict(self._COMMON, k=k), method=method,
+                                m=AdaptiveM(reltol=0.99, d=5, m_max=40))
+            S = sketch_new(N, spec.s, spec.seed)
+            counters = Counters()
+            basis = krec.driver._new_basis(spec, A, S, RecycleState.empty(N, k), 0,
+                                           counters)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, m_used, _, _ = krec.driver._solve(spec, A, b, basis, counters,
+                                                     DenseOracle(INV))
+                state = basis.recycle(k)
+            order = basis.G.shape[0] if method == "rfom" else basis.whitening.G.shape[0]
+            assert m_used == 10 and order <= m_used, method
+            assert order == m_used or method == "srfom_stab", method
+            assert state.k == order and state.k_target == k, method
+            assert state.ritz_values.shape == (order,)
+
+    def test_no_eigenvectors(self, monkeypatch):
+        # the update is a reordered Schur form: with every eig patched to
+        # raise, each problem of an inv sequence still updates U
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigenvectors formed")
+
+        for target, name in ((np.linalg, "eig"), (scipy.linalg, "eig"),
+                             (krec.linalg, "eig_dense")):
+            monkeypatch.setattr(target, name, no_eig)
+        updates = []
+        real = krec.recycle.partial_schur_closest_to_origin
+
+        def counted(M, k):
+            updates.append(k)
+            return real(M, k)
+
+        monkeypatch.setattr(krec.recycle, "partial_schur_closest_to_origin", counted)
+        for method in ("rfom", "srfom", "srfom_stab"):
+            updates.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                recs = run_sequence(SequenceSpec(
+                    **self._COMMON, method=method, perturbation=1e-8,
+                    m=AdaptiveM(reltol=1e-8, d=10, m_max=80)))
+            assert updates == [6] * 4, method
+            assert all(r.converged and r.relerr <= 1e-6 for r in recs), method
 
 
 def _count_sketched_factorizations(monkeypatch, s):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krec import (
-    DefectiveClusterError,
     DimensionMismatchError,
+    EigConvergenceError,
     SingularMatrixError,
     eig_dense,
     lu_solve,
@@ -133,14 +135,80 @@ class TestPartialSchur:
         mods = np.abs(np.diagonal(ps.T))
         assert np.all(np.diff(mods) >= -1e-12)
 
-    def test_defective_cluster(self):
-        M = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-        with pytest.raises(DefectiveClusterError):
-            partial_schur_closest_to_origin(M, 2)
+    def test_jordan_block(self):
+        # a defective cluster has no basis of eigenvectors, but a Schur basis
+        rng = np.random.default_rng(9)
+        for n in (2, 8):
+            Q = np.linalg.qr(_random_complex(rng, (n, n)))[0]
+            M = Q @ (0.5 * np.eye(n) + np.eye(n, k=1)) @ Q.conj().T
+            for k in (1, n // 2, n):
+                ps = partial_schur_closest_to_origin(M, k)
+                _check_partial_schur(M, ps, k)
+                np.testing.assert_allclose(np.abs(np.diagonal(ps.T)), 0.5, atol=0.05)
 
     def test_k_zero(self):
         ps = partial_schur_closest_to_origin(np.eye(3, dtype=np.complex128), 0)
         assert ps.X.shape == (3, 0) and ps.T.shape == (0, 0)
+
+    def test_k_above_order_is_capped(self):
+        M = np.diag([3.0, 1.0, 2.0]).astype(np.complex128)
+        ps = partial_schur_closest_to_origin(M, 5)
+        np.testing.assert_allclose(np.diagonal(ps.T), [1.0, 2.0, 3.0], atol=1e-15)
+        _check_partial_schur(M, ps, 3)
+
+    def test_non_finite_or_negative_k_raises(self):
+        M = np.eye(3, dtype=np.complex128)
+        M[1, 2] = np.nan
+        with pytest.raises(EigConvergenceError):
+            partial_schur_closest_to_origin(M, 2)
+        with pytest.raises(DimensionMismatchError):
+            partial_schur_closest_to_origin(np.eye(3), -1)
+
+
+def _check_partial_schur(M, ps, k):
+    n = M.shape[0]
+    eps = np.finfo(float).eps
+    assert ps.X.shape == (n, k) and ps.T.shape == (k, k)
+    assert np.linalg.norm(M @ ps.X - ps.X @ ps.T) <= 10 * n * eps * max(np.linalg.norm(M), 1)
+    assert np.linalg.norm(ps.X.conj().T @ ps.X - np.eye(k)) <= 10 * n * eps
+    assert np.array_equal(ps.T, np.triu(ps.T))
+    assert np.all(np.diff(np.abs(np.diagonal(ps.T))) >= 0)
+
+
+# eigenvalue pool: moduli 0, 0.3, 1 (four ways, ties broken by argument), 2
+_POOL = (0.0, 0.3j, 1.0, -1.0, 1j, (1 - 1j) / np.sqrt(2), 2.0)
+
+
+@st.composite
+def _planted_jordan(draw):
+    """Q J Q* with J block diagonal: Jordan blocks of order <= 4 on eigenvalues
+    drawn from _POOL, so that both repeats and defective clusters occur."""
+    n = draw(st.integers(1, 12))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(4, n - sum(sizes)))))
+    lams = [_POOL[draw(st.integers(0, len(_POOL) - 1))] for _ in sizes]
+    J = np.zeros((n, n), dtype=np.complex128)
+    i = 0
+    for p, lam in zip(sizes, lams):
+        J[i:i + p, i:i + p] = lam * np.eye(p) + np.eye(p, k=1)
+        i += p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(_random_complex(rng, (n, n)))[0]
+    return Q @ J @ Q.conj().T, max(sizes), draw(st.integers(0, n + 2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_planted_jordan())
+def test_partial_schur_property(case):
+    M, pmax, k = case
+    n = M.shape[0]
+    ps = partial_schur_closest_to_origin(M, k)
+    _check_partial_schur(M, ps, min(k, n))
+    # a Jordan block of order p moves its eigenvalue by ~(eps ||M||)^(1/p)
+    tol = 10 * (n * np.finfo(float).eps * np.linalg.norm(M)) ** (1 / pmax)
+    want = np.sort(np.abs(np.linalg.eigvals(M)))[:min(k, n)]
+    np.testing.assert_allclose(np.abs(np.diagonal(ps.T)), want, rtol=0, atol=tol)
 
 
 class TestLuSolve:

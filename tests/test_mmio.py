@@ -83,6 +83,24 @@ def test_round_trip(tmp_path):
     assert np.linalg.norm(B.to_dense() - A.to_dense()) <= 1e-14 * np.linalg.norm(A.to_dense())
 
 
+@pytest.mark.parametrize("field,entry", [
+    ("real", "nan"), ("real", "inf"), ("real", "-Infinity"),
+    ("complex", "1.0 nan"), ("complex", "inf 0.0"),
+])
+def test_non_finite_entry_names_its_line(tmp_path, field, entry):
+    path = _write(tmp_path, "\n".join([
+        f"%%MatrixMarket matrix coordinate {field} general",
+        "2 2 2",
+        "1 1 1.0" + (" 0.0" if field == "complex" else ""),
+        f"2 2 {entry}",
+        "",
+    ]))
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line_number == 4
+    assert "non-finite" in str(err.value)
+
+
 def test_error_line_numbers(tmp_path):
     bad_banner = _write(tmp_path, "%%NotMatrixMarket\n1 1 0\n", name="a.mtx")
     with pytest.raises(MatrixMarketError) as err:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,15 +202,18 @@ class TestUpdateSketchedStab:
                                  svdtol=0.0)
         assert _subspace_angle(a.U, b.U) <= 1e-8
 
-    def test_k_reduced_with_warning(self):
+    def test_k_capped_at_truncated_rank(self):
+        # S Vhat has rank 2: U takes both Ritz vectors of the order-2 G, and
+        # the k asked for stays on record
         rng = np.random.default_rng(12)
         base = _random_complex(rng, (20, 2))
         SVhat = np.column_stack([base, base[:, 0], base[:, 1]])
         Vhat = _random_complex(rng, (40, 4))
         SAVhat = _random_complex(rng, (20, 4))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             state = update_sketched_stab(Vhat, SVhat, SAVhat, 3)
-        assert state.k <= 2
+        assert state.k == 2 and state.k_target == 3
 
 
 class TestPropagateAU:
