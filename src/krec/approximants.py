@@ -14,7 +14,15 @@ import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .linalg import lu_solve, qr_econ, right_div_triangular, svd_truncated, whiten
+from .linalg import (
+    cgs2,
+    herm_mul,
+    lu_solve,
+    qr_econ,
+    right_div_triangular,
+    svd_truncated,
+    whiten,
+)
 from .matfun import matfun_apply
 from .recycle import RecycleState, propagate_AU, update_orthonormal, update_sketched
 from .sketch import sketch_apply, sketch_av_from_arnoldi
@@ -44,16 +52,11 @@ class Approximant:
         return self._full
 
 
-def _herm_mul(Q, X):
-    """Q* X for a tall Q, conjugating only X: Q.conj().T @ X would copy all of Q."""
-    return (X.conj().T @ Q).conj().T
-
-
 def fom_closed(V, G, b, f, counters=None):
     """FOM / Rayleigh-Ritz approximant V f(G) V* b for orthonormal V, G = V* A V."""
     V = np.asarray(V)
     b = np.asarray(b, dtype=np.complex128)
-    c = _herm_mul(V, b)
+    c = herm_mul(V, b)
     if counters is not None:
         counters.add_inner_products(V.shape[1])
     coeffs = matfun_apply(f, G, c)
@@ -82,8 +85,8 @@ class AugmentedBasis:
     Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
     U and A U enter once, A U at k matvecs unless a cached one is given.
     Each extend() orthogonalizes only the Krylov columns added since the
-    previous call: block classical Gram-Schmidt against Q run twice ("twice is
-    enough"), then a QR of the new block.  Column j of [U, V_m] is charged
+    previous call: block classical Gram-Schmidt against Q run twice
+    (``linalg.cgs2``, the kernel full Arnoldi uses), then a QR of the new block.  Column j of [U, V_m] is charged
     j+1 inner products, the cost a one-shot QR of [U, V_m] is charged.
 
     G = Q* A Q comes from small matrices: A V_m = V_{m+1} H_m and
@@ -130,12 +133,7 @@ class AugmentedBasis:
             return
         C = np.zeros((0, d), dtype=np.complex128)
         if n:
-            Q = self.Q
-            C = _herm_mul(Q, W)
-            W = W - Q @ C
-            C2 = _herm_mul(Q, W)
-            W -= Q @ C2
-            C += C2
+            W, C = cgs2(self.Q, W)
             if self.counters is not None:
                 self.counters.add_inner_products(n * d)
         qr = qr_econ(W, self.counters)
@@ -150,7 +148,7 @@ class AugmentedBasis:
         R[:n, n:] = C
         R[n:, n:] = qr.R
         self.R = R
-        self._QAU = np.vstack([self._QAU, _herm_mul(qr.Q, self.AU)])
+        self._QAU = np.vstack([self._QAU, herm_mul(qr.Q, self.AU)])
         self.n = n + d
 
     def extend(self, fac):
@@ -170,7 +168,7 @@ class AugmentedBasis:
             return
         P = self.R[:, self.k:] @ fac.square_h()
         if fac.breakdown is None:
-            P[:, -1] += fac.h_tail * _herm_mul(self.Q, fac.v_next)
+            P[:, -1] += fac.h_tail * herm_mul(self.Q, fac.v_next)
         self.G = right_div_triangular(np.hstack([self._QAU, P]), self.R)
 
     def _drop_dependent(self, flagged):

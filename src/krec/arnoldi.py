@@ -5,12 +5,17 @@ vector v_next, and a cached w_next = A @ v_next used to continue the
 recurrence when the factorization is extended.  Computing w_next eagerly is
 why a build of cycle length m costs exactly m+1 matvecs.
 
-Inner-product accounting (see counters.py): in full-orthogonalization mode,
-step j performs j projection coefficients and one norm per pass, with one
-unconditional reorthogonalization pass, so 2*(j+1) inner products per step.
-In truncated mode step j costs min(j, t) + 1 inner products.  The norm used
-only for breakdown detection and the initial normalization of b are not
-counted.
+Full mode orthogonalizes A v_j against all of V by block classical
+Gram-Schmidt run twice (``linalg.cgs2``: two matrix-vector products per
+pass, no loop over columns).  Truncated mode orthogonalizes against the last
+t columns only, by modified Gram-Schmidt over that window.
+
+Inner-product accounting (see counters.py): in full mode, step j (1-based)
+is charged j projection coefficients and one norm per pass, with one
+unconditional reorthogonalization pass, so 2*(j+1) inner products per step
+and m^2 + 3m for a build of length m.  In truncated mode step j costs
+min(j, t) + 1 inner products.  The norm used only for breakdown detection
+and the initial normalization of b are not counted.
 """
 
 from dataclasses import dataclass, replace
@@ -18,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .linalg import cgs2
 from .sparse import csr_matvec
 
 _BREAKDOWN_TOL = 1e-14
@@ -55,24 +61,19 @@ def _advance(A, V, H, j_start, j_end, mode, t, counters, pending_w):
         if w is None:
             w = csr_matvec(A, V[:, j], counters)
         wnorm = np.linalg.norm(w)
-        lo = 0 if mode == MODE_FULL else max(0, j + 1 - t)
-        for i in range(lo, j + 1):
-            hij = np.vdot(V[:, i], w)
-            H[i, j] += hij
-            w = w - hij * V[:, i]
-        if counters is not None:
-            counters.add_inner_products(j + 1 - lo)
-        hnorm = np.linalg.norm(w)
-        if counters is not None:
-            counters.add_inner_products(1)
         if mode == MODE_FULL:
-            for i in range(0, j + 1):
-                cij = np.vdot(V[:, i], w)
-                H[i, j] += cij
-                w = w - cij * V[:, i]
-            hnorm = np.linalg.norm(w)
+            w, H[: j + 1, j] = cgs2(V[:, : j + 1], w)
             if counters is not None:
-                counters.add_inner_products(j + 2)
+                counters.add_inner_products(2 * (j + 2))  # per pass: j+1 projections, 1 norm
+        else:
+            lo = max(0, j + 1 - t)
+            for i in range(lo, j + 1):
+                hij = np.vdot(V[:, i], w)
+                H[i, j] += hij
+                w = w - hij * V[:, i]
+            if counters is not None:
+                counters.add_inner_products(j + 2 - lo)
+        hnorm = np.linalg.norm(w)
         if hnorm <= _BREAKDOWN_TOL * wnorm:
             return None, None, j + 1
         H[j + 1, j] = hnorm

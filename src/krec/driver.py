@@ -1,9 +1,11 @@
 """Problem-sequence orchestration: configuration, run loop, oracles, CSV."""
 
 import csv
+import hashlib
 import inspect
 import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -81,6 +83,10 @@ class SequenceSpec:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.t < 1:
             raise ConfigError("need t >= 1")
+        if not (np.isfinite(self.perturbation) and self.perturbation >= 0):
+            raise ConfigError("perturbation must be finite and nonnegative")
+        if not 0 < self.svdtol <= 1:  # also rejects nan
+            raise ConfigError("need 0 < svdtol <= 1")
         m_top, m_key = ((self.m.m_max, "m_max") if isinstance(self.m, AdaptiveM)
                         else (self.m, "m"))
         if self.uses_sketching:
@@ -141,8 +147,56 @@ def load_matrix(source, shift=0.0):
     return A
 
 
+class _FactorCache:
+    """Oracle factorizations shared by content within one process, bounded in bytes.
+
+    A sequence that meets the same matrices again (another method, or another
+    run of the same spec) reuses their factorizations, which are pure
+    functions of (f, A), so every reference stays bit-identical.  An entry is
+    a (kind, tuple of arrays) state of ``DenseOracle``.  The least recently
+    used entries go first once the bound is passed.
+    """
+
+    # room for 26 eig states of an N=400 matrix (W and the LU of W, 5.1 MB each)
+    MAX_BYTES = 2**27
+
+    def __init__(self):
+        self._entries = OrderedDict()  # key -> (state, bytes), least recent first
+        self._bytes = 0
+
+    @staticmethod
+    def key(f, A):
+        digest = hashlib.blake2b(digest_size=16)
+        for a in (A.row_offsets, A.col_indices, A.values):
+            digest.update(a)
+        return f.kind, f.tau, A.shape, digest.digest()
+
+    def get(self, key):
+        hit = self._entries.get(key)
+        if hit is None:
+            return None
+        self._entries.move_to_end(key)
+        return hit[0]
+
+    def put(self, key, state):
+        size = sum(a.nbytes for a in state[1])
+        if size > self.MAX_BYTES:
+            return
+        while self._bytes + size > self.MAX_BYTES:
+            self._bytes -= self._entries.popitem(last=False)[1][1]
+        self._entries[key] = (state, size)
+        self._bytes += size
+
+
+_FACTORS = _FactorCache()
+
+
 class DenseOracle:
-    """Dense reference solutions f(A)b with a per-epoch cached factorization."""
+    """Dense reference solutions f(A)b with a per-epoch cached factorization.
+
+    The factorization of each matrix is looked up in a process-wide cache by
+    content before it is computed.
+    """
 
     _EXP_COND_LIMIT = 1e8
 
@@ -159,17 +213,21 @@ class DenseOracle:
             return
         if epoch == self._epoch and self._state is not None:
             return
-        dense = A.to_dense()
-        if self.f.kind == "inv":
-            self._state = ("lu", scipy.linalg.lu_factor(dense))
-        else:
-            lam, W = np.linalg.eig(dense)
-            if self.f.kind == "exp" and np.linalg.cond(W) > self._EXP_COND_LIMIT:
-                self._state = ("expm", scipy.linalg.expm(self.f.tau * dense))
-            else:
-                self.f.check_spectrum(lam)
-                self._state = ("eig", (lam, W, scipy.linalg.lu_factor(W)))
+        key = _FactorCache.key(self.f, A)
+        self._state = _FACTORS.get(key)
+        if self._state is None:
+            self._state = self._factor(A.to_dense())
+            _FACTORS.put(key, self._state)
         self._epoch = epoch
+
+    def _factor(self, dense):
+        if self.f.kind == "inv":
+            return "lu", scipy.linalg.lu_factor(dense)
+        lam, W = np.linalg.eig(dense)
+        if self.f.kind == "exp" and np.linalg.cond(W) > self._EXP_COND_LIMIT:
+            return "expm", (scipy.linalg.expm(self.f.tau * dense),)
+        self.f.check_spectrum(lam)
+        return "eig", (lam, W, *scipy.linalg.lu_factor(W))
 
     def solve(self, b):
         if self._state is None:
@@ -178,9 +236,9 @@ class DenseOracle:
         if kind == "lu":
             return scipy.linalg.lu_solve(data, b)
         if kind == "expm":
-            return data @ b
-        lam, W, luW = data
-        return W @ (self.f(lam) * scipy.linalg.lu_solve(luW, b))
+            return data[0] @ b
+        lam, W, lu, piv = data
+        return W @ (self.f(lam) * scipy.linalg.lu_solve((lu, piv), b))
 
 
 def oracle_exact(A, b, f, cap=1500):

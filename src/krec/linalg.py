@@ -1,4 +1,5 @@
-"""Dense decomposition kernels: QR, SVD, eigendecomposition, partial Schur, LU solve.
+"""Dense decomposition kernels: block Gram-Schmidt, QR, SVD, eigendecomposition,
+partial Schur, LU solve.
 
 All kernels work on complex128 arrays of moderate size (a few hundred rows or
 columns); they wrap LAPACK through numpy/scipy and enforce the deterministic
@@ -43,6 +44,29 @@ def _as_complex_matrix(M):
     if M.ndim != 2:
         raise DimensionMismatchError("expected a 2-D array")
     return M
+
+
+def herm_mul(Q, X):
+    """Q* X for a tall Q, conjugating only X: Q.conj().T @ X would copy all of Q."""
+    return (X.conj().T @ Q).conj().T
+
+
+def cgs2(Q, W):
+    """Project W (a vector or a block) onto the orthogonal complement of range(Q).
+
+    Block classical Gram-Schmidt run twice, which keeps the result orthogonal
+    to Q's orthonormal columns to working precision ("twice is enough":
+    Giraud, Langou & Rozložník, Comput. Math. Appl. 2005).  Each pass is two
+    BLAS-2/3 products.  Returns (W - Q C, C) with C = C_1 + C_2 the summed
+    coefficients of both passes; W is not modified.  Nothing is counted: the
+    caller charges its own cost model.
+    """
+    C = herm_mul(Q, W)
+    W = W - Q @ C
+    C2 = herm_mul(Q, W)
+    W -= Q @ C2
+    C += C2
+    return W, C
 
 
 def qr_econ(M, counters=None):

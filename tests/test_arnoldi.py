@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krec import (
     MODE_FULL,
@@ -8,7 +10,11 @@ from krec import (
     CSRMatrix,
     arnoldi_build,
     arnoldi_extend,
+    gen_neumann2d,
+    gen_twocluster,
 )
+
+_EPS = np.finfo(float).eps
 
 
 def _random_sparse(rng, n, density=0.05, shift=0.0):
@@ -170,3 +176,129 @@ def test_shift_invariance():
         assert np.linalg.norm(f1.V - f2.V) <= 1e-10
         diff = f2.square_h() - f1.square_h()
         np.testing.assert_allclose(diff, sigma * np.eye(20), atol=1e-10)
+
+
+def _orth_loss(V):
+    return np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]))
+
+
+def _counter_law(m, mode, t):
+    if mode == MODE_FULL:
+        return m * m + 3 * m
+    return sum(min(j + 1, t) + 1 for j in range(m))
+
+
+@st.composite
+def _sparse_case(draw):
+    """Random complex sparse A (N in 5..70), a start vector, m up to N+3, a mode."""
+    N = draw(st.integers(5, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    dense[rng.random((N, N)) > draw(st.floats(0.05, 0.6))] = 0.0
+    b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    mode = draw(st.sampled_from([MODE_FULL, MODE_TRUNCATED]))
+    return dense, b, draw(st.integers(1, N + 3)), mode, draw(st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_sparse_case())
+def test_arnoldi_relation_property(case):
+    dense, b, m, mode, t = case
+    A = CSRMatrix.from_dense(dense)
+    fac = arnoldi_build(A, b, m, mode=mode, t=t)
+    bound = 30 * np.sqrt(fac.m) * _EPS * np.linalg.norm(dense, 2)
+    assert _arnoldi_residual(A, fac) <= bound
+    if mode == MODE_FULL:
+        assert _orth_loss(fac.V) <= 1e-12
+        # the Krylov space of C^N has at most N dimensions
+        assert fac.m <= A.nrows and (fac.breakdown is not None or m <= A.nrows)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_sparse_case(), st.data())
+def test_split_extension_charged_as_one_build(case, data):
+    dense, b, m, mode, t = case
+    A = CSRMatrix.from_dense(dense)
+    cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=4)) if m > 1 else ())
+    split = Counters()
+    fac = arnoldi_build(A, b, (cuts + [m])[0], mode=mode, t=t, counters=split)
+    for m_next in cuts[1:] + [m]:
+        fac = arnoldi_extend(fac, A, m_next, counters=split)
+    one = Counters()
+    whole = arnoldi_build(A, b, m, mode=mode, t=t, counters=one)
+    assert split.snapshot() == one.snapshot()
+    assert fac.m == whole.m and fac.breakdown == whole.breakdown
+    if whole.breakdown is None:
+        assert one.snapshot() == (m + 1, _counter_law(m, mode, t), 0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(5, 70).flatmap(lambda N: st.tuples(
+    st.just(N), st.integers(1, min(N, 12)), st.integers(1, N + 3),
+    st.sampled_from([MODE_FULL, MODE_TRUNCATED]), st.integers(0, 2**32 - 1))))
+def test_breakdown_at_planted_invariant_subspace(case):
+    # A = P diag(B_1, B_2) P^T with B_1 dense r x r, and b in the range of
+    # the first block: the Krylov space is that r-dimensional invariant
+    # subspace, so the build breaks down at step r exactly
+    N, r, m, mode, seed = case
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((N, N), dtype=np.complex128)
+    dense[:r, :r] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    rest = rng.standard_normal((N - r, N - r)) + 1j * rng.standard_normal((N - r, N - r))
+    dense[r:, r:] = np.where(rng.random((N - r, N - r)) < 0.2, rest, 0.0)
+    b = np.zeros(N, dtype=np.complex128)
+    b[:r] = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    perm = rng.permutation(N)
+    A = CSRMatrix.from_dense(dense[np.ix_(perm, perm)])
+    # truncated Arnoldi orthogonalizes against all of V only while j <= t
+    t = max(r, 2)
+    fac = arnoldi_build(A, b[perm], m, mode=mode, t=t)
+    if m >= r:
+        assert fac.breakdown == r and fac.m == r
+        assert fac.v_next is None and fac.h_tail == 0.0
+    else:
+        assert fac.breakdown is None and fac.m == m
+
+
+def _mgs2_reference(dense, b, m):
+    """Full Arnoldi by modified Gram-Schmidt run twice, one column at a time."""
+    V = np.zeros((b.size, m + 1), dtype=np.complex128)
+    H = np.zeros((m + 1, m), dtype=np.complex128)
+    V[:, 0] = b / np.linalg.norm(b)
+    for j in range(m):
+        w = dense @ V[:, j]
+        for _ in range(2):
+            for i in range(j + 1):
+                hij = np.vdot(V[:, i], w)
+                H[i, j] += hij
+                w = w - hij * V[:, i]
+        H[j + 1, j] = np.linalg.norm(w)
+        V[:, j + 1] = w / H[j + 1, j]
+    return V, H
+
+
+def test_block_cgs2_matches_column_mgs2():
+    # the block kernel sums its projections in another order than the
+    # column loop, so the two agree to rounding, not bit for bit
+    rng = np.random.default_rng(10)
+    A = _random_sparse(rng, 120, shift=4.0)
+    b = rng.standard_normal(120) + 1j * rng.standard_normal(120)
+    fac = arnoldi_build(A, b, 30)
+    V, H = _mgs2_reference(A.to_dense(), b, 30)
+    assert np.linalg.norm(fac.V - V[:, :30]) <= 1e-12
+    assert np.linalg.norm(fac.v_next - V[:, 30]) <= 1e-12
+    assert np.linalg.norm(fac.H - H) <= 1e-12 * np.linalg.norm(H)
+
+
+def test_orthonormality_at_benchmark_sizes():
+    # inv-neumann2d's adaptive growth (10 by 10 up to 150) and
+    # invsqrt-twocluster's longest build
+    b = np.random.default_rng(1).standard_normal(961) + 0j
+    A = gen_neumann2d(31).add_scaled_identity(1e-3)
+    fac = arnoldi_build(A, b, 10)
+    while fac.m < 150:
+        fac = arnoldi_extend(fac, A, fac.m + 10)
+    assert fac.m == 150 and _orth_loss(fac.V) <= 1e-13
+    A = gen_twocluster(400, seed=11)
+    fac = arnoldi_build(A, b[:400], 110)
+    assert fac.m == 110 and _orth_loss(fac.V) <= 1e-13

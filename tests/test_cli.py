@@ -75,6 +75,9 @@ def test_error_exit_code(tmp_path, capsys):
         (good + "shift = nan\n", "'shift'"),
         (good.replace("function = inv", "function = exp") + "tau = inf\n", "'tau'"),
         (good + "adaptive = true\nreltol = nan\n", "'reltol'"),
+        (good + "perturbation = -1e-3\n", "perturbation"),
+        (good.replace("method = fom", "method = srfom-stab")
+         + "k = 2\ns = 40\nsvdtol = 2.0\n", "svdtol"),
         (good + "adaptive = true\nstop_rule = oracle\noracle_cap = 10\n", "oracle cap"),
         # adaptive runs are bounded by m_max, and the message says so
         (good.replace("method = fom", "method = sfom")

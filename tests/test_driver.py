@@ -90,6 +90,35 @@ class TestOracle:
         A = CSRMatrix.identity(10)
         assert oracle_exact(A, np.ones(10), INV, cap=5) is None
 
+    def test_factorization_shared_by_content(self, monkeypatch):
+        rng = np.random.default_rng(123)
+        M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)) + 20 * np.eye(40)
+        b = rng.standard_normal(40) + 0j
+        eigs = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda X: eigs.append(1) or eig(X))
+        first = oracle_exact(CSRMatrix.from_dense(M), b, INVSQRT)
+        calls = len(eigs)
+        # an equal matrix built anew is found by content, and yields the same bits
+        again = oracle_exact(CSRMatrix.from_dense(M.copy()), b, INVSQRT)
+        assert calls <= 1 and len(eigs) == calls
+        np.testing.assert_array_equal(again, first)
+        # another function of the same matrix is another entry
+        oracle_exact(CSRMatrix.from_dense(M), b, EXP)
+        assert len(eigs) == calls + 1
+
+    def test_factor_cache_evicts_least_recent_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(krec.driver._FactorCache, "MAX_BYTES", 2000)
+        cache = krec.driver._FactorCache()
+        state = ("lu", (np.zeros(50, dtype=np.complex128), np.zeros(10, dtype=np.int32)))
+        for key in "abc":  # 840 bytes each: two fit
+            cache.put(key, state)
+        assert cache.get("a") is None and cache.get("b") is state
+        cache.put("d", state)  # "b" was used last, so "c" goes
+        assert cache.get("c") is None and cache.get("b") is state
+        cache.put("e", ("expm", (np.zeros(200, dtype=np.complex128),)))  # 3200 bytes: kept out
+        assert cache.get("e") is None and cache.get("d") is state
+
 
 class TestRunSequence:
     def test_determinism(self):
@@ -420,6 +449,18 @@ class TestSpecValidation:
         # t <= 0 made truncated Arnoldi charge negative inner products
         with pytest.raises(ConfigError):
             _spec(method="sfom", s=40, m=10, t=t)
+
+    @pytest.mark.parametrize("perturbation", [-1e-3, float("nan"), float("inf")])
+    def test_perturbation_finite_and_nonnegative(self, perturbation):
+        # run time tested only perturbation > 0, so these ran unperturbed
+        with pytest.raises(ConfigError, match="perturbation"):
+            _spec(perturbation=perturbation)
+
+    @pytest.mark.parametrize("svdtol", [float("nan"), 2.0, 0.0, -1e-12])
+    def test_svdtol_in_unit_interval(self, svdtol):
+        # outside (0, 1] every srfom_stab problem failed with RankDeficiencyError
+        with pytest.raises(ConfigError, match="svdtol"):
+            _spec(method="srfom_stab", k=5, s=60, svdtol=svdtol)
 
     def test_oracle_stop_above_cap_rejected_before_solving(self):
         spec = _spec(m=AdaptiveM(reltol=1e-6, d=10, m_max=60), stop_rule="oracle",
