@@ -15,13 +15,14 @@ import scipy.linalg
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
 from .linalg import (
-    cgs2,
+    GrowingQR,
     herm_mul,
     lu_solve,
     qr_econ,
     right_div_triangular,
     svd_truncated,
     whiten,
+    whiten_r,
 )
 from .matfun import matfun_apply
 from .recycle import RecycleState, propagate_AU, update_orthonormal, update_sketched
@@ -34,21 +35,36 @@ _DROP_TOL = 1e-12       # augmented-basis column drop threshold
 
 @dataclass
 class Approximant:
-    """Coefficients of an approximant in a working basis."""
+    """Coefficients of an approximant in a working basis.
+
+    The basis is one matrix, or a tuple of its column blocks, such as the
+    [U, V_m] of a sketched basis, which is then never stacked.
+    """
 
     coeffs: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | tuple
     ell: int | None = None
     _full: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.basis.shape[1] != self.coeffs.shape[0]:
+        if sum(B.shape[1] for B in self.blocks) != self.coeffs.shape[0]:
             raise DimensionMismatchError("coefficient length must match basis width")
+
+    @property
+    def blocks(self):
+        return self.basis if isinstance(self.basis, tuple) else (self.basis,)
 
     def full_vector(self):
         """Materialize basis @ coeffs (cached)."""
         if self._full is None:
-            self._full = self.basis @ self.coeffs
+            j = 0
+            for B in self.blocks:
+                part = B @ self.coeffs[j:j + B.shape[1]]
+                j += B.shape[1]
+                if self._full is None:
+                    self._full = part
+                else:
+                    self._full += part
         return self._full
 
 
@@ -79,20 +95,53 @@ class KrylovBasis:
     norm = staticmethod(np.linalg.norm)  # of V_m y, as V_m is orthonormal
 
 
-class AugmentedBasis:
+class _GrownBasis:
+    """The QR of a working set M = [M_U, M_V], grown as the Krylov block M_V grows,
+    and the projection of its image through the Arnoldi relation.
+
+    The image of M is X = [X_U, M_V H_m + h x_next e_m^T]: X_U is the image
+    of M_U, given once, and x_next the image of v_next.  Q* X_U is kept as Q
+    grows, and Q* M_V = R[:, k:], so
+
+        P = Q* X = [Q* X_U, R[:, k:] H_m + h (Q* x_next) e_m^T]
+
+    takes no work on long vectors past Q* x_next.  AugmentedBasis uses
+    (M, X) = ([U, V_m], A [U, V_m]); SketchedBasis their sketches.
+    """
+
+    def _start(self, nrows, XU, reorth=True):
+        self.k = XU.shape[1]
+        self.qr = GrowingQR(nrows, reorth)
+        self._XU = XU
+        self._QXU = np.zeros((0, self.k), dtype=np.complex128)
+
+    @property
+    def R(self):
+        return self.qr.R
+
+    def _append(self, W, counters=None):
+        if W.shape[1]:
+            self._QXU = np.vstack([self._QXU, herm_mul(self.qr.append(W, counters), self._XU)])
+
+    def _project(self, fac, x_next):
+        """P = Q* X for the Arnoldi factorization fac of the Krylov block."""
+        P = self.qr.R[:, self.k:] @ fac.square_h()
+        if fac.breakdown is None:
+            P[:, -1] += fac.h_tail * herm_mul(self.qr.Q, x_next)
+        return np.hstack([self._QXU, P])
+
+
+class AugmentedBasis(_GrownBasis):
     """Orthonormal basis Q of the augmented space [U, V_m], grown with V_m.
 
     Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
     U and A U enter once, A U at k matvecs unless a cached one is given.
-    Each extend() orthogonalizes only the Krylov columns added since the
-    previous call: block classical Gram-Schmidt against Q run twice
-    (``linalg.cgs2``, the kernel full Arnoldi uses), then a QR of the new block.  Column j of [U, V_m] is charged
-    j+1 inner products, the cost a one-shot QR of [U, V_m] is charged.
-
-    G = Q* A Q comes from small matrices: A V_m = V_{m+1} H_m and
-    Q* V_m = R[:, k:], so Q* A [U, V_m] = [Q* AU, R[:, k:] H_m + h (Q* v_next) e_m^T]
-    and the only N-length work past the projection is Q* v_next.  Q is kept
-    column-major and its buffer grows geometrically.
+    Each extend() appends only the Krylov columns added since the previous
+    call to the grown QR (``linalg.GrowingQR`` without its second pass:
+    block classical Gram-Schmidt against Q run twice, then a QR of the new
+    block).  Column j of [U, V_m] is charged j+1 inner products, the cost a
+    one-shot QR of [U, V_m] is charged.  G = Q* A Q = P R^{-1} (see
+    ``_GrownBasis``).
     """
 
     def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
@@ -108,48 +157,21 @@ class AugmentedBasis:
             raise DimensionMismatchError("AU must have the shape of U")
         self.counters = counters
         self.matrix_epoch = matrix_epoch
-        self._start(U, AU)
+        self._start_with(U, AU)
 
-    def _start(self, U, AU):
+    def _start_with(self, U, AU):
         self.U, self.AU = U, AU
-        self.k = U.shape[1]
-        self.n = 0               # columns of Q
+        # a dependent column is met by the drop rule below; without the
+        # second pass the arithmetic is that of block CGS2 and one QR
+        self._start(U.shape[0], AU, reorth=False)
         self.m = 0               # Krylov columns absorbed
         self.fac = None
         self.G = None
-        self.R = np.zeros((0, 0), dtype=np.complex128)
-        self._QAU = np.zeros((0, self.k), dtype=np.complex128)  # Q* AU
-        self._buf = np.empty((U.shape[0], 0), dtype=np.complex128, order="F")
-        self._append(U)
+        self._append(U, self.counters)
 
     @property
     def Q(self):
-        return self._buf[:, :self.n]
-
-    def _append(self, W):
-        """Orthonormalize the columns of W against Q and append them."""
-        n, d = self.n, W.shape[1]
-        if d == 0:
-            return
-        C = np.zeros((0, d), dtype=np.complex128)
-        if n:
-            W, C = cgs2(self.Q, W)
-            if self.counters is not None:
-                self.counters.add_inner_products(n * d)
-        qr = qr_econ(W, self.counters)
-        if n + d > self._buf.shape[1]:
-            buf = np.empty((self._buf.shape[0], max(n + d, 2 * self._buf.shape[1])),
-                           dtype=np.complex128, order="F")
-            buf[:, :n] = self._buf[:, :n]
-            self._buf = buf
-        self._buf[:, n:n + d] = qr.Q
-        R = np.zeros((n + d, n + d), dtype=np.complex128)
-        R[:n, :n] = self.R
-        R[:n, n:] = C
-        R[n:, n:] = qr.R
-        self.R = R
-        self._QAU = np.vstack([self._QAU, herm_mul(qr.Q, self.AU)])
-        self.n = n + d
+        return self.qr.Q
 
     def extend(self, fac):
         """Absorb the Krylov columns of fac not yet in Q and update G.
@@ -158,7 +180,7 @@ class AugmentedBasis:
         turns out numerically dependent, U columns are dropped (with a
         warning) and the basis is rebuilt from the rest.
         """
-        self._append(fac.V[:, self.m:])
+        self._append(fac.V[:, self.m:], self.counters)
         self.m, self.fac = fac.m, fac
         d = np.abs(np.diagonal(self.R))
         flagged = int(np.count_nonzero(d <= _DROP_TOL * max(d.max(), 1.0)))
@@ -166,10 +188,7 @@ class AugmentedBasis:
             self._drop_dependent(flagged)
             self.extend(fac)
             return
-        P = self.R[:, self.k:] @ fac.square_h()
-        if fac.breakdown is None:
-            P[:, -1] += fac.h_tail * herm_mul(self.Q, fac.v_next)
-        self.G = right_div_triangular(np.hstack([self._QAU, P]), self.R)
+        self.G = right_div_triangular(self._project(fac, fac.v_next), self.R)
 
     def _drop_dependent(self, flagged):
         # V is orthonormal, so any dependency is attributable to U: rank-check
@@ -184,7 +203,7 @@ class AugmentedBasis:
             f"dropping {n_drop} numerically dependent augmentation column(s)",
             stacklevel=3,
         )
-        self._start(self.U[:, keep], self.AU[:, keep])
+        self._start_with(self.U[:, keep], self.AU[:, keep])
 
     def approximant(self, b, f):
         """Closed-form rFOM approximant Q f(G) Q* b."""
@@ -237,35 +256,45 @@ def rfom_step(A, b, U, m, f, AU=None, counters=None):
                       R=aug.R, fac=fac, k_used=aug.k)
 
 
-def _whitened(Vhat, C, w, Sb, f):
-    """Sketched FOM over one whitening of S Vhat: coeffs = J D^{-1} f(G) C* S b."""
-    y = matfun_apply(f, w.G, C.conj().T @ np.asarray(Sb))
+def _whitened(basis, w, z, f):
+    """Sketched FOM over one whitening of S Vhat = Q R, for z = Q* S b:
+    coeffs = J D^{-1} f(G) L* z, in the basis Vhat (or its column blocks)."""
+    y = matfun_apply(f, w.G, w.forward(z))
     ell = None if w.J is None else w.J.shape[1]
-    return Approximant(coeffs=w.back(y), basis=np.asarray(Vhat), ell=ell)
+    return Approximant(coeffs=w.back(y), basis=basis, ell=ell)
 
 
 def sfom_whitened(Vhat, SV, SAV, Sb, f):
     """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV."""
-    return _whitened(Vhat, *whiten(SV, SAV), Sb, f)
+    Q, w = whiten(SV, SAV)
+    return _whitened(np.asarray(Vhat), w, herm_mul(Q, Sb), f)
 
 
 def srfom_stab(Vhat, SV, SAV, Sb, f, svdtol=1e-14):
-    """Stabilized sketched FOM over the SVD of SV cut at sigma_ell >= svdtol * sigma_1."""
-    return _whitened(Vhat, *whiten(SV, SAV, svdtol), Sb, f)
+    """Stabilized sketched FOM over the SVD of SV cut at sigma_ell >= svdtol * sigma_1
+    (taken as the SVD of the R of SV)."""
+    Q, w = whiten(SV, SAV, svdtol)
+    return _whitened(np.asarray(Vhat), w, herm_mul(Q, Sb), f)
 
 
-class SketchedBasis:
+class SketchedBasis(_GrownBasis):
     """Sketched working set [U, V_m] of sFOM and srFOM, grown by appending V_m.
 
     Each Krylov column is sketched once: extend() sketches only the columns
-    added since the previous call, and the sketch of v_next, taken for
-    S A V_m, is kept as the sketch of the column v_next becomes.  S A V_m
-    comes from the Arnoldi relation at no sketch cost.  S U and S A U come
-    from the recycling state; on a new matrix epoch S A U is formed again
-    at k matvecs and k sketches, unless the update is inexact.
+    added since the previous call, and the sketch of v_next, kept for the
+    Arnoldi relation, is the sketch of the column v_next becomes.  S U and
+    S A U come from the recycling state; on a new matrix epoch S A U is
+    formed again at k matvecs and k sketches, unless the update is inexact.
 
-    approximant() whitens S Vhat once (by the truncated SVD if stabilized) and
-    keeps it: Vhat, SVhat, SAVhat, whitening, matrix_epoch feed update_sketched.
+    S Vhat = [S U, S V_m] = Q R is grown, not re-factored: each extend()
+    appends only its new sketched columns (all of [S U, S V_m] on the first
+    call) to a ``linalg.GrowingQR``, charged no inner products.  S A Vhat is
+    never formed: Q* S A Vhat is P of ``_GrownBasis`` with x_next = S v_next,
+    and ``linalg.whiten_r`` turns R and P into the whitening, by the rank-
+    checked R or, if stabilized, by the truncated SVD of the small R.  So
+    Q* S b = ||b|| R[:, k], and ||S Vhat y|| = ||R y||.  ``recycle`` reads the
+    whitening of the last approximant.  Vhat, SVhat and SAVhat are formed
+    only on request; the approximant keeps U and V_m apart.
     """
 
     def __init__(self, A, S, recycle=None, matrix_epoch=None, counters=None,
@@ -274,18 +303,20 @@ class SketchedBasis:
         self.matrix_epoch = matrix_epoch
         self.svdtol = svdtol if stabilized else None  # None: whiten by QR
         self.fac = self.SV = self.s_next = self.whitening = None
-        self.k = 0 if recycle is None else recycle.k
-        self.U = self.SU = self.SAU = None
-        if self.k:
+        k = 0 if recycle is None else recycle.k
+        self.U, self.SU = None, np.zeros((S.s, 0), dtype=np.complex128)
+        self.SAU = self.SU
+        if k:
             self.U, self.SU, self.SAU = recycle.U, recycle.SU, recycle.SAU
             if recycle.matrix_epoch != matrix_epoch and not inexact:
                 AU = np.column_stack([csr_matvec(A, self.U[:, j], counters)
-                                      for j in range(self.k)])
+                                      for j in range(k)])
                 self.SAU = np.column_stack([sketch_apply(S, AU[:, j], counters)
-                                            for j in range(self.k)])
+                                            for j in range(k)])
+        self._start(S.s, self.SAU)
 
     def extend(self, fac):
-        """Absorb the Krylov columns of fac not yet sketched.
+        """Absorb the Krylov columns of fac not yet sketched and whiten.
 
         fac must extend the factorization of the previous call.
         """
@@ -298,28 +329,50 @@ class SketchedBasis:
             return
         cols += [sketch_apply(self.S, fac.V[:, j], self.counters)
                  for j in range(first, fac.m)]
-        self.SV = np.column_stack(cols if self.SV is None else [self.SV] + cols)
+        new = np.column_stack(cols)
+        self._append(new if self.SV is not None else np.column_stack([self.SU, new]))
+        self.SV = new if self.SV is None else np.column_stack([self.SV, new])
         self.s_next = (None if fac.breakdown is not None
                        else sketch_apply(self.S, fac.v_next, self.counters))
-        # the previous Vhat's whitening is stale; freeing it lowers the peak
-        self.fac, self.whitening = fac, None
-        SAV = sketch_av_from_arnoldi(self.S, fac, self.SV, self.s_next)
-        if self.k:
-            self.Vhat = np.column_stack([self.U, fac.V])
-            self.SVhat = np.column_stack([self.SU, self.SV])
-            self.SAVhat = np.column_stack([self.SAU, SAV])
-        else:
-            self.Vhat, self.SVhat, self.SAVhat = fac.V, self.SV, SAV
+        self.fac = fac
+        self.whitening = whiten_r(self.R, self._project(fac, self.s_next), self.svdtol)
+
+    @property
+    def Vhat(self):
+        return np.column_stack([self.U, self.fac.V]) if self.k else self.fac.V
+
+    @property
+    def SVhat(self):
+        return np.column_stack([self.SU, self.SV])
+
+    @property
+    def SAVhat(self):
+        return np.column_stack([self.SAU, sketch_av_from_arnoldi(self.S, self.fac, self.SV,
+                                                                 self.s_next)])
 
     def approximant(self, b, f):
-        """Sketched FOM approximant; S b is recovered from S v_1."""
-        Sb = np.linalg.norm(b) * self.SV[:, 0]
-        C, self.whitening = whiten(self.SVhat, self.SAVhat, self.svdtol)
-        return _whitened(self.Vhat, C, self.whitening, Sb, f)
+        """Sketched FOM approximant over the blocks [U, V_m]; S b = ||b|| S v_1,
+        so Q* S b = ||b|| R[:, k]."""
+        basis = (self.U, self.fac.V) if self.k else self.fac.V
+        return _whitened(basis, self.whitening, np.linalg.norm(b) * self.R[:, self.k], f)
 
     def norm(self, y):
-        """Sketched norm ||S Vhat y||, the estimator's stand-in for ||Vhat y||."""
-        return np.linalg.norm(self.SVhat @ y)
+        """Sketched norm ||S Vhat y|| = ||R y||, the estimator's stand-in for ||Vhat y||."""
+        return np.linalg.norm(self.R @ y)
+
+    def images(self, Y):
+        """(Vhat Y, S Vhat Y, S A Vhat Y), the last by the Arnoldi relation:
+        S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1]."""
+        YU, YV = Y[:self.k], Y[self.k:]
+        fac = self.fac
+        V, SV, SAV = fac.V @ YV, self.SV @ YV, self.SV @ (fac.square_h() @ YV)
+        if self.k:
+            V += self.U @ YU
+            SV += self.SU @ YU
+            SAV += self.SAU @ YU
+        if fac.breakdown is None:
+            SAV += fac.h_tail * np.outer(self.s_next, YV[-1])
+        return V, SV, SAV
 
     def recycle(self, k):
         """Recycling state for the next problem by sketched Rayleigh-Ritz."""

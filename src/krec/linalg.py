@@ -1,4 +1,5 @@
-"""Dense decomposition kernels: block Gram-Schmidt, QR, SVD, eigendecomposition,
+"""Dense decomposition kernels: block Gram-Schmidt, QR (one-shot and grown by
+appending columns), SVD, whitening of a sketched basis, eigendecomposition,
 partial Schur, LU solve.
 
 All kernels work on complex128 arrays of moderate size (a few hundred rows or
@@ -112,6 +113,71 @@ def svd_truncated(M, svdtol):
     return dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
 
 
+class GrowingQR:
+    """Q R = M for a tall M that grows by blocks of columns.
+
+    append(W) orthogonalizes the new block against Q by ``cgs2``, takes the
+    ``qr_econ`` of what is left and appends both, so M is never factored
+    again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
+    Q lives in a column-major buffer that grows geometrically: an append
+    copies Q only when the buffer is full, and no room is taken ahead for
+    columns that may never come.
+
+    The QR of an ill-conditioned block turns the rounding left along Q into
+    a loss of orthogonality of about eps * cond(block).  With reorth, a
+    block whose R is worse conditioned than REORTH_COND is projected and
+    factored once more (block CGS2 of Barlow & Smoktunowicz, Numer. Math.
+    2013), so Q stays orthonormal and sigma(R) = sigma(M) to rounding even
+    when M is numerically rank-deficient.
+    """
+
+    REORTH_COND = 100.0
+
+    def __init__(self, nrows, reorth=True):
+        self.n = 0
+        self.R = np.zeros((0, 0), dtype=np.complex128)
+        self.reorth = reorth
+        self._buf = np.empty((nrows, 0), dtype=np.complex128, order="F")
+
+    @property
+    def Q(self):
+        return self._buf[:, :self.n]
+
+    def append(self, W, counters=None):
+        """Append the columns of W to M; returns their columns of Q.
+
+        With a counter, column j of M is charged j+1 inner products, the cost
+        of a one-shot QR of M: n*d for the projection and d(d+1)/2 for the
+        QR.  The second pass of reorth is not charged.
+        """
+        n, d = self.n, W.shape[1]
+        C = np.zeros((0, d), dtype=np.complex128)
+        if n:
+            W, C = cgs2(self.Q, W)
+            if counters is not None:
+                counters.add_inner_products(n * d)
+        qr = qr_econ(W, counters)
+        Qnew, Rnew = qr.Q, qr.R
+        if n and self.reorth:
+            sv = np.linalg.svd(Rnew, compute_uv=False)
+            if sv[0] >= self.REORTH_COND * sv[-1]:
+                C2 = herm_mul(self.Q, Qnew)
+                qr = qr_econ(Qnew - self.Q @ C2)
+                Qnew, C, Rnew = qr.Q, C + C2 @ Rnew, qr.R @ Rnew
+        if n + d > self._buf.shape[1]:
+            buf = np.empty((self._buf.shape[0], max(n + d, 2 * self._buf.shape[1])),
+                           dtype=np.complex128, order="F")
+            buf[:, :n] = self._buf[:, :n]
+            self._buf = buf
+        self._buf[:, n:n + d] = Qnew
+        R = np.zeros((n + d, n + d), dtype=np.complex128)
+        R[:n, :n] = self.R
+        R[:n, n:] = C
+        R[n:, n:] = Rnew
+        self.R, self.n = R, n + d
+        return Qnew
+
+
 def check_sketched_rank(R):
     """Raise RankDeficiencyError unless min |R_jj| > 1e-13 max |R_jj|."""
     d = np.abs(np.diagonal(R))
@@ -122,14 +188,20 @@ def check_sketched_rank(R):
 
 @dataclass(frozen=True)
 class Whitening:
-    """S Vhat = C D J* with C, J orthonormal, and G = C* S A Vhat J D^{-1}.
+    """S Vhat = Q R = Q L D J* with L, J orthonormal, and G = L* Q* S A Vhat J D^{-1}.
 
-    QR form: D = R and J = I (None).  SVD form: D = diag(sigma), kept as sigma.
+    QR form: D = R and L = J = I (None).  SVD form: R = L diag(sigma) J*
+    truncated, D = sigma as a vector; its sigma and J are those of S Vhat.
     """
 
     G: np.ndarray
     D: np.ndarray
     J: np.ndarray | None = None
+    L: np.ndarray | None = None
+
+    def forward(self, z):
+        """L* z: Q coordinates (z = Q* x) to whitened coordinates."""
+        return z if self.L is None else herm_mul(self.L, z)
 
     def back(self, Z, orth=False):
         """J D^{-1} Z, or J orth(D^{-1} Z): whitened coordinates to Vhat coordinates."""
@@ -139,18 +211,30 @@ class Whitening:
         return Z if self.J is None else self.J @ Z
 
 
+def whiten_r(R, P, svdtol=None):
+    """Whitening of S Vhat = Q R from R and P = Q* S A Vhat alone.
+
+    QR form: the rank check on R and G = P R^{-1}.  With svdtol: the SVD of
+    the small R cut at svdtol * sigma_1, G = L* P J / sigma.
+    """
+    if svdtol is None:
+        check_sketched_rank(R)
+        return Whitening(G=right_div_triangular(P, R), D=R)
+    L, sig, J = svd_truncated(R, svdtol)
+    return Whitening(G=(herm_mul(L, P) @ J) / sig[np.newaxis, :], D=sig, J=J, L=L)
+
+
 def whiten(SV, SAV, svdtol=None):
-    """(C, Whitening) of SV = S Vhat, SAV = S A Vhat: by a rank-checked QR, or
-    with svdtol by the SVD truncated at svdtol * sigma_1.  C is not kept."""
+    """(Q, Whitening) of SV = S Vhat, SAV = S A Vhat from one QR of SV.
+
+    The one-shot form of a sketched basis's grown QR: ``whiten_r`` finishes
+    it, by the rank-checked R or, with svdtol, by the truncated SVD of R.
+    """
     SV, SAV = np.asarray(SV), np.asarray(SAV)
     if SV.shape != SAV.shape:
         raise DimensionMismatchError("SV and SAV must have equal shapes")
-    if svdtol is None:
-        qr = qr_econ(SV)
-        check_sketched_rank(qr.R)
-        return qr.Q, Whitening(G=right_div_triangular(qr.Q.conj().T @ SAV, qr.R), D=qr.R)
-    L, sig, J = svd_truncated(SV, svdtol)
-    return L, Whitening(G=(L.conj().T @ SAV @ J) / sig[np.newaxis, :], D=sig, J=J)
+    qr = qr_econ(SV)
+    return qr.Q, whiten_r(qr.R, herm_mul(qr.Q, SAV), svdtol)
 
 
 def eig_dense(M):

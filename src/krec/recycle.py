@@ -54,28 +54,36 @@ def srr_matrix(qr, SAV):
 
 def update_sketched(bundle, k):
     """Sketched Rayleigh-Ritz update over the whitening of the bundle's last
-    approximant (a bundle without one is whitened by QR here)."""
-    w = bundle.whitening or whiten(bundle.SVhat, bundle.SAVhat)[1]
-    return _whitened_update(bundle.Vhat, bundle.SVhat, bundle.SAVhat, w, k,
-                            bundle.matrix_epoch)
+    approximant.
+
+    A ``SketchedBasis`` forms U, S U and S A U by ``images`` from small
+    products; a bundle of stacked Vhat, SVhat, SAVhat without a whitening is
+    whitened by QR here.
+    """
+    if bundle.whitening is None:
+        return update_sketched_stab(bundle.Vhat, bundle.SVhat, bundle.SAVhat, k,
+                                    svdtol=None, matrix_epoch=bundle.matrix_epoch)
+    return _whitened_update(bundle.whitening, bundle.images, k, bundle.matrix_epoch)
 
 
 def update_sketched_stab(Vhat, SVhat, SAVhat, k, svdtol=1e-14, matrix_epoch=None):
-    """Recycling update from raw arrays over the truncated SVD S Vhat ~ L Sigma J*."""
-    return _whitened_update(Vhat, SVhat, SAVhat, whiten(SVhat, SAVhat, svdtol)[1], k,
-                            matrix_epoch)
+    """Recycling update from stacked arrays over the truncated SVD S Vhat ~ L Sigma J*
+    (by QR with svdtol=None)."""
+    Vhat, SVhat, SAVhat = (np.asarray(M) for M in (Vhat, SVhat, SAVhat))
+    return _whitened_update(whiten(SVhat, SAVhat, svdtol)[1],
+                            lambda Y: (Vhat @ Y, SVhat @ Y, SAVhat @ Y), k, matrix_epoch)
 
 
-def _whitened_update(Vhat, SVhat, SAVhat, w, k, matrix_epoch):
-    """U = Vhat J orth(D^{-1} X) for the Schur vectors X of the min(k, order)
-    Ritz values of the whitened G closest to the origin, and S U, S A U alike.
+def _whitened_update(w, images, k, matrix_epoch):
+    """U = Vhat Y, Y = J orth(D^{-1} X), for the Schur vectors X of the min(k, order)
+    Ritz values of the whitened G closest to the origin; images(Y) gives
+    (Vhat Y, S Vhat Y, S A Vhat Y).
 
     The Ritz vectors of G do not carry cond(R) as those of srr_matrix do.
     """
     ps = partial_schur_closest_to_origin(w.G, k)
-    Y = w.back(ps.X, orth=True)
-    return RecycleState(U=np.asarray(Vhat) @ Y, SU=np.asarray(SVhat) @ Y,
-                        SAU=np.asarray(SAVhat) @ Y, matrix_epoch=matrix_epoch,
+    U, SU, SAU = images(w.back(ps.X, orth=True))
+    return RecycleState(U=U, SU=SU, SAU=SAU, matrix_epoch=matrix_epoch,
                         k_target=k, ritz_values=np.diagonal(ps.T).copy())
 
 

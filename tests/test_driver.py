@@ -371,15 +371,14 @@ class TestRecyclingUpdate:
             assert all(r.converged and r.relerr <= 1e-6 for r in recs), method
 
 
-def _count_sketched_factorizations(monkeypatch, s):
-    """Shapes of the QRs and SVDs taken of s-row matrices, the sketched bases."""
+def _count_factorizations(monkeypatch):
+    """Names and shapes of the matrices given to qr_econ and svd_econ."""
     shapes = []
     for name in ("qr_econ", "svd_econ"):
         real = getattr(krec.linalg, name)
 
         def counted(M, *args, _real=real, _name=name, **kwargs):
-            if M.shape[0] == s:
-                shapes.append((_name, M.shape))
+            shapes.append((_name, M.shape))
             return _real(M, *args, **kwargs)
 
         monkeypatch.setattr(krec.linalg, name, counted)
@@ -388,20 +387,42 @@ def _count_sketched_factorizations(monkeypatch, s):
 
 class TestSketchedQR:
     def test_srfom_factors_sketched_basis_once(self, monkeypatch):
-        # the approximant's QR of S Vhat is the one the recycling update takes
-        shapes = _count_sketched_factorizations(monkeypatch, 80)
-        recs = run_sequence(_spec(method="srfom", m=20, k=5, s=80, num_problems=3))
-        assert all(r.converged for r in recs)
-        assert [shape for _, shape in shapes] == [(80, 20), (80, 25), (80, 25)]
+        # the QR of S Vhat is grown: each adaptive step factors only its new
+        # sketched columns, the first step with S U, once, or twice when
+        # GrowingQR takes its second pass; nothing else is factored
+        appends, shapes = [], _count_factorizations(monkeypatch)
+        real = krec.linalg.GrowingQR.append
+
+        def append(qr, W, *args):
+            before = len(shapes)
+            out = real(qr, W, *args)
+            appends.append((W.shape, shapes[before:]))
+            return out
+
+        monkeypatch.setattr(krec.linalg.GrowingQR, "append", append)
+        recs = run_sequence(_spec(method="srfom", k=5, s=80, num_problems=3,
+                                  m=AdaptiveM(reltol=1e-10, d=10, m_max=60)))
+        assert all(r.converged and r.m_used % 10 == 0 for r in recs)
+        assert max(r.m_used for r in recs) > 10
+        want = []
+        for i, r in enumerate(recs):
+            want += [(80, (0 if i == 0 else 5) + 10)] + [(80, 10)] * (r.m_used // 10 - 1)
+        assert [shape for shape, _ in appends] == want
+        for shape, calls in appends:
+            assert calls in ([("qr_econ", shape)], [("qr_econ", shape)] * 2)
+        assert sum(len(calls) for _, calls in appends) == len(shapes)
 
     @pytest.mark.parametrize("method, kind", [("srfom", "qr_econ"),
                                               ("srfom_stab", "svd_econ")])
     def test_one_whitening_per_step_none_in_recycle(self, monkeypatch, method, kind):
+        # per step one QR of the appended s-row columns, which finishes the
+        # whitening by QR; the one by SVD adds the SVD of the small R, and no
+        # SVD of an s-row matrix is taken
         A = gen_hpd(N=120, seed=1)
         S, k, s = sketch_new(120, 80, 0), 4, 80
         rng = np.random.default_rng(0)
         state = None
-        shapes = _count_sketched_factorizations(monkeypatch, s)
+        shapes = _count_factorizations(monkeypatch)
         for _ in range(2):
             b = rng.standard_normal(120).astype(np.complex128)
             basis = krec.approximants.SketchedBasis(
@@ -410,10 +431,14 @@ class TestSketchedQR:
             for m in (10, 20):
                 fac = (arnoldi_build(A, b, m, mode=MODE_TRUNCATED) if fac is None
                        else arnoldi_extend(fac, A, m))
-                basis.extend(fac)
                 del shapes[:]
+                basis.extend(fac)
                 basis.approximant(b, INVSQRT)
-                assert shapes == [(kind, (s, m + basis.k))]
+                n = m + basis.k
+                want = [("qr_econ", (s, 10 + (basis.k if m == 10 else 0)))]
+                if kind == "svd_econ":
+                    want.append(("svd_econ", (n, n)))
+                assert shapes == want
             del shapes[:]
             state = basis.recycle(k)
             assert shapes == [] and state.k == k

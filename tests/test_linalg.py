@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krec import (
+    Counters,
     DimensionMismatchError,
     EigConvergenceError,
     SingularMatrixError,
@@ -13,6 +14,9 @@ from krec import (
     qr_econ,
     svd_econ,
 )
+from krec.linalg import GrowingQR, herm_mul, whiten_r
+
+_EPS = np.finfo(float).eps
 
 
 def _random_complex(rng, shape):
@@ -242,3 +246,64 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError) as err:
             lu_solve(M, np.ones(3, dtype=np.complex128))
         assert isinstance(err.value.pivot_index, int)
+
+
+@st.composite
+def _append_case(draw):
+    """A random complex s x n M, the cuts it is appended at, and how many of its
+    last columns are near-duplicates (1e-14 noise) of earlier ones."""
+    n = draw(st.integers(1, 16))
+    s = draw(st.integers(n, 48))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    dups = draw(st.integers(0, min(3, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = _random_complex(rng, (s, n))
+    for j in range(n - dups, n):
+        M[:, j] = M[:, rng.integers(0, j)] + 1e-14 * _random_complex(rng, s)
+    return M, [0] + cuts + [n], dups, rng
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_append_case())
+def test_growing_qr_property(case):
+    M, cuts, dups, rng = case
+    s, n = M.shape
+    counters = Counters()
+    qr = GrowingQR(s)
+    for lo, hi in zip(cuts, cuts[1:]):
+        qr.append(M[:, lo:hi], counters)
+    Q, R = qr.Q, qr.R
+    # charged as a one-shot QR of M
+    assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
+    assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R).real >= 0)
+    assert np.linalg.norm(Q @ R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    assert np.max(np.abs(np.linalg.svd(R, compute_uv=False) - sigma)) <= 10 * n * _EPS * sigma[0]
+    if dups:
+        return
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12
+    if s < n + 4:
+        return
+    # well conditioned: the whitenings of the grown R equal the one-shot
+    # whitenings of M (QR of M, SVD of M) to rounding
+    SAV = _random_complex(rng, (s, n))
+    x = _random_complex(rng, s)
+    P = herm_mul(Q, SAV)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    Q1, R1 = np.linalg.qr(M)
+    phase = np.diagonal(R1) / np.abs(np.diagonal(R1))
+    Q1, R1 = Q1 * phase, R1 * phase.conj()[:, np.newaxis]
+    w = whiten_r(R, P)
+    assert rel(w.G, np.linalg.solve(R1.T, (Q1.conj().T @ SAV).T).T) <= 1e-10
+    assert rel(w.forward(herm_mul(Q, x)), Q1.conj().T @ x) <= 1e-10
+    # the SVD form is compared through quantities free of the singular
+    # vectors' phases: J D^{-1} G D J* = pinv(M) SAV and J D^{-1} L* Q* x
+    L2, sig2, J2h = np.linalg.svd(M, full_matrices=False)
+    pinv = J2h.conj().T @ (L2.conj().T / sig2[:, np.newaxis])
+    w = whiten_r(R, P, 1e-12)
+    assert w.J.shape == (n, n)
+    assert rel(w.back(w.G * w.D[np.newaxis, :]) @ w.J.conj().T, pinv @ SAV) <= 1e-10
+    assert rel(w.back(w.forward(herm_mul(Q, x))), pinv @ x) <= 1e-10

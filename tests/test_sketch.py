@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krec import (
+    MODE_FULL,
     MODE_TRUNCATED,
     Counters,
     CSRMatrix,
@@ -154,6 +157,32 @@ def test_sketch_av_identity_large():
         for j in range(40):
             want = sketch_apply(S, csr_matvec(A, fac.V[:, j]))
             assert np.linalg.norm(got[:, j] - want) <= 1e-11 * max(np.linalg.norm(want), 1)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(5, 70).filter(lambda N: N & (N - 1)).flatmap(lambda N: st.tuples(
+    st.just(N), st.integers(1, N), st.sampled_from([MODE_FULL, MODE_TRUNCATED]),
+    st.integers(1, 8), st.one_of(st.just(None), st.integers(1, N)),
+    st.integers(0, 2**32 - 1))))
+def test_sketch_av_identity_property(case):
+    # S A V_m = (S V_m) H_m + h (S v_next) e_m^T for both Arnoldi modes, at
+    # non-power-of-two N, with s small or (None) the padded length
+    N, m, mode, t, s, seed = case
+    rng = np.random.default_rng(seed)
+    dense = _random_complex(rng, (N, N))
+    dense[rng.random((N, N)) > 0.3] = 0.0
+    A = CSRMatrix.from_dense(dense)
+    fac = arnoldi_build(A, _random_complex(rng, N), m, mode=mode, t=t)
+    S = sketch_new(N, s or 1 << (N - 1).bit_length(), seed)
+    assert S.is_isometry == (s is None)
+    SV = np.column_stack([sketch_apply(S, fac.V[:, j]) for j in range(fac.m)])
+    s_next = None if fac.breakdown is not None else sketch_apply(S, fac.v_next)
+    got = sketch_av_from_arnoldi(S, fac, SV, s_next)
+    want = sketch_dense(S) @ dense @ fac.V
+    # the Arnoldi relation holds to O(sqrt(m) eps ||A||) and ||S||_2 <= sqrt(pad/s)
+    bound = (100 * fac.m * np.finfo(float).eps * np.sqrt(S.pad / S.s)
+             * np.linalg.norm(dense, 2) * max(1.0, np.linalg.norm(fac.V, 2)))
+    assert np.linalg.norm(got - want) <= bound
 
 
 def test_sketch_av_breakdown_case():
