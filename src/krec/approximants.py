@@ -109,9 +109,9 @@ class _GrownBasis:
     (M, X) = ([U, V_m], A [U, V_m]); SketchedBasis their sketches.
     """
 
-    def _start(self, nrows, XU, reorth=True):
+    def _start(self, nrows, XU):
         self.k = XU.shape[1]
-        self.qr = GrowingQR(nrows, reorth)
+        self.qr = GrowingQR(nrows)
         self._XU = XU
         self._QXU = np.zeros((0, self.k), dtype=np.complex128)
 
@@ -137,11 +137,10 @@ class AugmentedBasis(_GrownBasis):
     Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
     U and A U enter once, A U at k matvecs unless a cached one is given.
     Each extend() appends only the Krylov columns added since the previous
-    call to the grown QR (``linalg.GrowingQR`` without its second pass:
-    block classical Gram-Schmidt against Q run twice, then a QR of the new
-    block).  Column j of [U, V_m] is charged j+1 inner products, the cost a
-    one-shot QR of [U, V_m] is charged.  G = Q* A Q = P R^{-1} (see
-    ``_GrownBasis``).
+    call to the grown QR (``linalg.GrowingQR``: block classical Gram-Schmidt
+    against Q run twice, then a QR of the new block).  Column j of [U, V_m]
+    is charged j+1 inner products, the cost a one-shot QR of [U, V_m] is
+    charged.  G = Q* A Q = P R^{-1} (see ``_GrownBasis``).
     """
 
     def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
@@ -161,9 +160,7 @@ class AugmentedBasis(_GrownBasis):
 
     def _start_with(self, U, AU):
         self.U, self.AU = U, AU
-        # a dependent column is met by the drop rule below; without the
-        # second pass the arithmetic is that of block CGS2 and one QR
-        self._start(U.shape[0], AU, reorth=False)
+        self._start(U.shape[0], AU)
         self.m = 0               # Krylov columns absorbed
         self.fac = None
         self.G = None

@@ -94,6 +94,9 @@ class SequenceSpec:
                 raise ConfigError("sketched methods require s > 0")
             if m_top >= self.s:
                 raise ConfigError(f"need {m_key} < s for sketched methods")
+            # the grown QR of [S U, S V_m] needs at most s columns
+            if self.uses_recycling and self.k + m_top > self.s:
+                raise ConfigError(f"need k + {m_key} <= s for sketched methods")
         if self.uses_recycling and not 0 <= self.k < m_top:
             raise ConfigError(f"need 0 <= k < {m_key} for recycled methods")
 

@@ -124,19 +124,19 @@ class GrowingQR:
     columns that may never come.
 
     The QR of an ill-conditioned block turns the rounding left along Q into
-    a loss of orthogonality of about eps * cond(block).  With reorth, a
-    block whose R is worse conditioned than REORTH_COND is projected and
-    factored once more (block CGS2 of Barlow & Smoktunowicz, Numer. Math.
-    2013), so Q stays orthonormal and sigma(R) = sigma(M) to rounding even
-    when M is numerically rank-deficient.
+    a loss of orthogonality of about eps * cond(block).  A block whose R has
+    an estimated 1-norm condition number (LAPACK trcon, O(d^2) work) above
+    REORTH_COND is therefore projected and factored once more (block CGS2 of
+    Barlow & Smoktunowicz, Numer. Math. 2013), so Q stays orthonormal and
+    sigma(R) = sigma(M) to rounding even when M is numerically rank-deficient.
+    M may have at most nrows columns.
     """
 
     REORTH_COND = 100.0
 
-    def __init__(self, nrows, reorth=True):
+    def __init__(self, nrows):
         self.n = 0
         self.R = np.zeros((0, 0), dtype=np.complex128)
-        self.reorth = reorth
         self._buf = np.empty((nrows, 0), dtype=np.complex128, order="F")
 
     @property
@@ -148,9 +148,11 @@ class GrowingQR:
 
         With a counter, column j of M is charged j+1 inner products, the cost
         of a one-shot QR of M: n*d for the projection and d(d+1)/2 for the
-        QR.  The second pass of reorth is not charged.
+        QR.  The second pass is not charged.
         """
         n, d = self.n, W.shape[1]
+        if n + d > self._buf.shape[0]:
+            raise DimensionMismatchError("GrowingQR holds at most nrows columns")
         C = np.zeros((0, d), dtype=np.complex128)
         if n:
             W, C = cgs2(self.Q, W)
@@ -158,9 +160,9 @@ class GrowingQR:
                 counters.add_inner_products(n * d)
         qr = qr_econ(W, counters)
         Qnew, Rnew = qr.Q, qr.R
-        if n and self.reorth:
-            sv = np.linalg.svd(Rnew, compute_uv=False)
-            if sv[0] >= self.REORTH_COND * sv[-1]:
+        if n:
+            trcon = scipy.linalg.lapack.get_lapack_funcs("trcon", (Rnew,))
+            if trcon(Rnew, norm="1")[0] * self.REORTH_COND <= 1.0:
                 C2 = herm_mul(self.Q, Qnew)
                 qr = qr_econ(Qnew - self.Q @ C2)
                 Qnew, C, Rnew = qr.Q, C + C2 @ Rnew, qr.R @ Rnew
@@ -179,7 +181,9 @@ class GrowingQR:
 
 
 def check_sketched_rank(R):
-    """Raise RankDeficiencyError unless min |R_jj| > 1e-13 max |R_jj|."""
+    """Raise RankDeficiencyError if R is wide or min |R_jj| <= 1e-13 max |R_jj|."""
+    if R.shape[0] < R.shape[1]:
+        raise RankDeficiencyError("sketched basis has more columns than the sketch has rows")
     d = np.abs(np.diagonal(R))
     if d.size and d.min() <= 1e-13 * d.max():
         raise RankDeficiencyError(
@@ -229,10 +233,14 @@ def whiten(SV, SAV, svdtol=None):
 
     The one-shot form of a sketched basis's grown QR: ``whiten_r`` finishes
     it, by the rank-checked R or, with svdtol, by the truncated SVD of R.
+    A wide SV (more columns than sketch rows) is its own R under Q = I: the
+    rank check rejects it, and the truncated SVD is that of SV.
     """
     SV, SAV = np.asarray(SV), np.asarray(SAV)
     if SV.shape != SAV.shape:
         raise DimensionMismatchError("SV and SAV must have equal shapes")
+    if SV.shape[0] < SV.shape[1]:
+        return np.eye(SV.shape[0], dtype=np.complex128), whiten_r(SV, SAV, svdtol)
     qr = qr_econ(SV)
     return qr.Q, whiten_r(qr.R, herm_mul(qr.Q, SAV), svdtol)
 

@@ -37,6 +37,8 @@ from krec import (
     srfom_step,
 )
 from krec.driver import _check_stop
+from krec.linalg import GrowingQR, herm_mul, whiten_r
+from krec.matfun import matfun_apply
 
 ALL_F = (INVSQRT, INV, EXP)
 
@@ -309,6 +311,16 @@ class TestSrfomStab:
         assert out.ell == SV2.shape[1] - 1
         assert np.all(np.isfinite(out.full_vector()))
 
+    def test_more_columns_than_sketch_rows(self):
+        # a wide S Vhat cannot be rank-checked, but its truncated SVD whitens it
+        rng = np.random.default_rng(14)
+        A, b, V, SV, SAV, Sb = self._setup(rng, m=12, s=8)
+        with pytest.raises(RankDeficiencyError):
+            sfom_whitened(V, SV, SAV, Sb, INVSQRT)
+        out = srfom_stab(V, SV, SAV, Sb, INVSQRT)
+        assert out.ell == 8
+        assert np.all(np.isfinite(out.full_vector()))
+
     def test_svdtol_zero_matches(self):
         rng = np.random.default_rng(11)
         A, b, V, SV, SAV, Sb = self._setup(rng)
@@ -327,11 +339,23 @@ class TestSrfomStep:
         approx, bundle = srfom_step(A, b, S, None, 15, INVSQRT)
         fac = arnoldi_build(A, b, 15, mode=MODE_TRUNCATED)
         SV = _isometric_sketch_columns(S, fac.V)
-        SAV = sketch_av_from_arnoldi(S, fac, SV, sketch_apply(S, fac.v_next))
-        Sb = np.linalg.norm(b) * SV[:, 0]
-        want = sfom_whitened(fac.V, SV, SAV, Sb, INVSQRT)
-        # the basis projects S A V_m through the Arnoldi relation on R, the
-        # one-shot path through Q* S A V_m: equal to rounding
+        s_next = sketch_apply(S, fac.v_next)
+        # bit for bit along the basis's own route: one QR of S V_m (an append
+        # to an empty GrowingQR is one qr_econ), then
+        # Q* S A V_m = R H_m + h (Q* S v_next) e_m^T and Q* S b = ||b|| R e_1
+        qr = GrowingQR(S.s)
+        qr.append(SV)
+        np.testing.assert_array_equal(qr.R, qr_econ(SV).R)
+        P = qr.R @ fac.square_h()
+        P[:, -1] += fac.h_tail * herm_mul(qr.Q, s_next)
+        w = whiten_r(qr.R, P)
+        np.testing.assert_array_equal(
+            approx.coeffs,
+            w.back(matfun_apply(INVSQRT, w.G, np.linalg.norm(b) * qr.R[:, 0])))
+        # the one-shot sfom_whitened projects through Q* S A V_m instead:
+        # equal to rounding
+        SAV = sketch_av_from_arnoldi(S, fac, SV, s_next)
+        want = sfom_whitened(fac.V, SV, SAV, np.linalg.norm(b) * SV[:, 0], INVSQRT)
         diff = np.linalg.norm(approx.coeffs - want.coeffs)
         assert diff <= 1e-12 * np.linalg.norm(want.coeffs)
 

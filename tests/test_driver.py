@@ -453,6 +453,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             _spec(method="sfom", s=20, m=20)
 
+    def test_recycled_sketched_basis_fits_the_sketch(self):
+        # the k + m columns of [S U, S V_m] are grown into a QR with s rows
+        with pytest.raises(ConfigError, match="need k \\+ m <= s"):
+            _spec(method="srfom_stab", k=6, s=20, m=15)
+        recs = run_sequence(_spec(method="srfom_stab", k=5, s=20, m=15, num_problems=3))
+        assert [r.error for r in recs] == [None] * 3
+        assert recs[-1].relerr < 1e-2
+
     def test_k_below_m(self):
         with pytest.raises(ConfigError):
             _spec(method="rfom", k=20, m=20)

@@ -7,6 +7,7 @@ from krec import (
     Counters,
     DimensionMismatchError,
     EigConvergenceError,
+    RankDeficiencyError,
     SingularMatrixError,
     eig_dense,
     lu_solve,
@@ -14,7 +15,7 @@ from krec import (
     qr_econ,
     svd_econ,
 )
-from krec.linalg import GrowingQR, herm_mul, whiten_r
+from krec.linalg import GrowingQR, herm_mul, whiten, whiten_r
 
 _EPS = np.finfo(float).eps
 
@@ -246,6 +247,36 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError) as err:
             lu_solve(M, np.ones(3, dtype=np.complex128))
         assert isinstance(err.value.pivot_index, int)
+
+
+def test_growing_qr_holds_at_most_nrows_columns():
+    M = _random_complex(np.random.default_rng(3), (6, 7))
+    qr = GrowingQR(6)
+    qr.append(M[:, :4])
+    qr.append(M[:, 4:6])
+    assert np.linalg.norm(qr.Q @ qr.R - M[:, :6]) <= 1e-13 * np.linalg.norm(M)
+    with pytest.raises(DimensionMismatchError):
+        qr.append(M[:, 6:])
+
+
+def test_wide_sketched_basis_whitens_by_its_own_svd():
+    # more columns than sketch rows: the rank check fails, and the truncated
+    # SVD is that of SV itself
+    rng = np.random.default_rng(4)
+    SV, SAV, x = _random_complex(rng, (5, 8)), _random_complex(rng, (5, 8)), _random_complex(rng, 5)
+    with pytest.raises(RankDeficiencyError):
+        whiten(SV, SAV)
+    Q, w = whiten(SV, SAV, 1e-12)
+    L, sig, Jh = np.linalg.svd(SV, full_matrices=False)
+    assert w.J.shape == (8, 5)
+    # phase-free: J D^{-1} G D J* = pinv(SV) SAV J J* with J J* = pinv(SV) SV,
+    # and J D^{-1} L* Q* x = pinv(SV) x
+    pinv = Jh.conj().T @ (L.conj().T / sig[:, np.newaxis])
+    G = w.back(w.G * w.D[np.newaxis, :]) @ w.J.conj().T
+    want = pinv @ SAV @ (pinv @ SV)
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+    z = w.back(w.forward(herm_mul(Q, x)))
+    assert np.linalg.norm(z - pinv @ x) <= 1e-12 * np.linalg.norm(pinv @ x)
 
 
 @st.composite
