@@ -9,7 +9,6 @@ from .approximants import (
     Approximant,
     AugmentedBasis,
     KrylovBasis,
-    RfomResult,
     SketchedBasis,
     fom_closed,
     gmres_type_closed,

@@ -105,8 +105,9 @@ class _GrownBasis:
 
         P = Q* X = [Q* X_U, R[:, k:] H_m + h (Q* x_next) e_m^T]
 
-    takes no work on long vectors past Q* x_next.  AugmentedBasis uses
-    (M, X) = ([U, V_m], A [U, V_m]); SketchedBasis their sketches.
+    is ``fac.image`` of R[:, k:] and Q* x_next: no work on long vectors past
+    Q* x_next.  AugmentedBasis uses (M, X) = ([U, V_m], A [U, V_m]);
+    SketchedBasis their sketches.
     """
 
     def _start(self, nrows, XU):
@@ -125,10 +126,8 @@ class _GrownBasis:
 
     def _project(self, fac, x_next):
         """P = Q* X for the Arnoldi factorization fac of the Krylov block."""
-        P = self.qr.R[:, self.k:] @ fac.square_h()
-        if fac.breakdown is None:
-            P[:, -1] += fac.h_tail * herm_mul(self.qr.Q, x_next)
-        return np.hstack([self._QXU, P])
+        Qx = None if fac.breakdown is not None else herm_mul(self.qr.Q, x_next)
+        return np.hstack([self._QXU, fac.image(self.qr.R[:, self.k:], Qx)])
 
 
 class AugmentedBasis(_GrownBasis):
@@ -188,13 +187,14 @@ class AugmentedBasis(_GrownBasis):
         self.G = right_div_triangular(self._project(fac, fac.v_next), self.R)
 
     def _drop_dependent(self, flagged):
-        # V is orthonormal, so any dependency is attributable to U: rank-check
-        # with the Krylov block first and drop at least as many U columns as
-        # were flagged, those with the smallest probe diagonals.
-        dp = np.abs(np.diagonal(qr_econ(np.column_stack([self.fac.V, self.U])).R))
-        du = dp[self.fac.m:]
+        # V is orthonormal, so any dependency is attributable to U: probe U
+        # after V_m and drop at least as many U columns as were flagged, those
+        # with the smallest probe diagonals.  Q* [U, V_m] = R and R_V has
+        # orthonormal columns, so the probe is the QR of R_U - R_V (R_V* R_U).
+        RU, RV = self.R[:, :self.k], self.R[:, self.k:]
+        du = np.abs(np.diagonal(qr_econ(RU - RV @ herm_mul(RV, RU)).R))
         n_drop = min(self.k, max(flagged, int(np.count_nonzero(
-            du <= _DROP_TOL * max(dp.max(), 1.0)))))
+            du <= _DROP_TOL * max(du.max(), 1.0)))))
         keep = np.sort(np.argsort(du, kind="stable")[n_drop:])
         warnings.warn(
             f"dropping {n_drop} numerically dependent augmentation column(s)",
@@ -228,29 +228,18 @@ class AugmentedBasis(_GrownBasis):
                             k_target=k, ritz_values=ritz)
 
 
-@dataclass
-class RfomResult:
-    approximant: Approximant
-    basis: np.ndarray    # orthonormal augmented basis Q
-    G: np.ndarray        # Q* A Q
-    R: np.ndarray        # Q R = [U_kept, V_m]
-    fac: object          # the Arnoldi factorization used
-    k_used: int          # augmentation columns actually retained
-
-
 def rfom_step(A, b, U, m, f, AU=None, counters=None):
     """One recycled-FOM step: orthonormal Krylov + augmentation extraction.
 
     Builds a fully orthogonalized Arnoldi factorization (m+1 matvecs), forms
     the orthonormal augmented basis of [U, V_m], and evaluates the closed-form
     approximant.  The k augmentation columns cost k matvecs unless a cached
-    AU is supplied, in which case no extra matvecs are performed.
+    AU is supplied, in which case no extra matvecs are performed.  Returns
+    the approximant and the AugmentedBasis.
     """
-    fac = arnoldi_build(A, b, m, mode="full", counters=counters)
-    aug = AugmentedBasis(A, U, AU, counters)
-    aug.extend(fac)
-    return RfomResult(approximant=aug.approximant(b, f), basis=aug.Q, G=aug.G,
-                      R=aug.R, fac=fac, k_used=aug.k)
+    basis = AugmentedBasis(A, U, AU, counters)
+    basis.extend(arnoldi_build(A, b, m, mode="full", counters=counters))
+    return basis.approximant(b, f), basis
 
 
 def _whitened(basis, w, z, f):
@@ -290,8 +279,8 @@ class SketchedBasis(_GrownBasis):
     and ``linalg.whiten_r`` turns R and P into the whitening, by the rank-
     checked R or, if stabilized, by the truncated SVD of the small R.  So
     Q* S b = ||b|| R[:, k], and ||S Vhat y|| = ||R y||.  ``recycle`` reads the
-    whitening of the last approximant.  Vhat, SVhat and SAVhat are formed
-    only on request; the approximant keeps U and V_m apart.
+    whitening of the last approximant.  Vhat, SVhat = Q R and SAVhat are
+    formed only on request; the approximant keeps U and V_m apart.
     """
 
     def __init__(self, A, S, recycle=None, matrix_epoch=None, counters=None,
@@ -299,7 +288,7 @@ class SketchedBasis(_GrownBasis):
         self.S, self.counters = S, counters
         self.matrix_epoch = matrix_epoch
         self.svdtol = svdtol if stabilized else None  # None: whiten by QR
-        self.fac = self.SV = self.s_next = self.whitening = None
+        self.fac = self.s_next = self.whitening = None
         k = 0 if recycle is None else recycle.k
         self.U, self.SU = None, np.zeros((S.s, 0), dtype=np.complex128)
         self.SAU = self.SU
@@ -318,7 +307,7 @@ class SketchedBasis(_GrownBasis):
         fac must extend the factorization of the previous call.
         """
         if self.fac is None:
-            cols, first = [], 0
+            cols, first = [self.SU], 0  # S U enters with the first Krylov block
         elif fac.m > self.fac.m:
             # the previous v_next became column self.fac.m; its sketch is cached
             cols, first = [self.s_next], self.fac.m + 1
@@ -326,9 +315,7 @@ class SketchedBasis(_GrownBasis):
             return
         cols += [sketch_apply(self.S, fac.V[:, j], self.counters)
                  for j in range(first, fac.m)]
-        new = np.column_stack(cols)
-        self._append(new if self.SV is not None else np.column_stack([self.SU, new]))
-        self.SV = new if self.SV is None else np.column_stack([self.SV, new])
+        self._append(np.column_stack(cols))
         self.s_next = (None if fac.breakdown is not None
                        else sketch_apply(self.S, fac.v_next, self.counters))
         self.fac = fac
@@ -340,12 +327,12 @@ class SketchedBasis(_GrownBasis):
 
     @property
     def SVhat(self):
-        return np.column_stack([self.SU, self.SV])
+        return self.qr.Q @ self.R
 
     @property
     def SAVhat(self):
-        return np.column_stack([self.SAU, sketch_av_from_arnoldi(self.S, self.fac, self.SV,
-                                                                 self.s_next)])
+        return np.column_stack([self.SAU, sketch_av_from_arnoldi(
+            self.S, self.fac, self.qr.Q @ self.R[:, self.k:], self.s_next)])
 
     def approximant(self, b, f):
         """Sketched FOM approximant over the blocks [U, V_m]; S b = ||b|| S v_1,
@@ -361,14 +348,12 @@ class SketchedBasis(_GrownBasis):
         """(Vhat Y, S Vhat Y, S A Vhat Y), the last by the Arnoldi relation:
         S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1]."""
         YU, YV = Y[:self.k], Y[self.k:]
-        fac = self.fac
-        V, SV, SAV = fac.V @ YV, self.SV @ YV, self.SV @ (fac.square_h() @ YV)
+        SVm = self.qr.Q @ self.R[:, self.k:]
+        SAV = self.fac.image(SVm, self.s_next, YV, self.SAU, YU)
+        V, SV = self.fac.V @ YV, SVm @ YV
         if self.k:
             V += self.U @ YU
             SV += self.SU @ YU
-            SAV += self.SAU @ YU
-        if fac.breakdown is None:
-            SAV += fac.h_tail * np.outer(self.s_next, YV[-1])
         return V, SV, SAV
 
     def recycle(self, k):

@@ -14,8 +14,10 @@ Inner-product accounting (see counters.py): in full mode, step j (1-based)
 is charged j projection coefficients and one norm per pass, with one
 unconditional reorthogonalization pass, so 2*(j+1) inner products per step
 and m^2 + 3m for a build of length m.  In truncated mode step j costs
-min(j, t) + 1 inner products.  The norm used only for breakdown detection
-and the initial normalization of b are not counted.
+min(j, t) + 1 inner products, twice if its one pass leaves less than 1e-8
+of A v_j: the pass is then repeated, so rounding cannot hide a lucky
+breakdown.  The norm used only for breakdown detection and the initial
+normalization of b are not counted.
 """
 
 from dataclasses import dataclass, replace
@@ -27,6 +29,7 @@ from .linalg import cgs2
 from .sparse import csr_matvec
 
 _BREAKDOWN_TOL = 1e-14
+_REPASS_TOL = 1e-8
 
 MODE_FULL = "full"
 MODE_TRUNCATED = "truncated"
@@ -53,6 +56,23 @@ class ArnoldiFactorization:
     def square_h(self):
         return self.H[: self.m, : self.m]
 
+    def image(self, XV, x_next, Y=None, XU=None, YU=None):
+        """M A [U, V_m] [Y_U; Y] = X_V H_m Y + h x_next e_m^T Y (+ X_U Y_U) by the
+        Arnoldi relation, for X_V = M V_m, x_next = M v_next, X_U = M A U and
+        any linear map M.  Y=None is the identity; after a breakdown there is
+        no h term and x_next may be None.  By blocks of rows: no temporary of
+        the height of X_V next to the result."""
+        H = self.square_h()
+        out = XV @ (H if Y is None else H @ Y)
+        last = np.eye(1, self.m, self.m - 1)[0] if Y is None else Y[-1, :]  # e_m^T Y
+        for i in range(0, out.shape[0], 4096):
+            rows = slice(i, i + 4096)
+            if XU is not None:
+                out[rows] += XU[rows] @ YU
+            if self.breakdown is None:
+                out[rows] += np.outer(self.h_tail * x_next[rows], last)
+        return out
+
 
 def _advance(A, V, H, j_start, j_end, mode, t, counters, pending_w):
     """Run Arnoldi steps j_start..j_end-1 in place; return (v_next, w_next, breakdown)."""
@@ -65,15 +85,19 @@ def _advance(A, V, H, j_start, j_end, mode, t, counters, pending_w):
             w, H[: j + 1, j] = cgs2(V[:, : j + 1], w)
             if counters is not None:
                 counters.add_inner_products(2 * (j + 2))  # per pass: j+1 projections, 1 norm
+            hnorm = np.linalg.norm(w)
         else:
             lo = max(0, j + 1 - t)
-            for i in range(lo, j + 1):
-                hij = np.vdot(V[:, i], w)
-                H[i, j] += hij
-                w = w - hij * V[:, i]
-            if counters is not None:
-                counters.add_inner_products(j + 2 - lo)
-        hnorm = np.linalg.norm(w)
+            for _ in range(2):  # the second pass only if the first cancelled w almost fully
+                for i in range(lo, j + 1):
+                    hij = np.vdot(V[:, i], w)
+                    H[i, j] += hij
+                    w = w - hij * V[:, i]
+                if counters is not None:
+                    counters.add_inner_products(j + 2 - lo)
+                hnorm = np.linalg.norm(w)
+                if hnorm > _REPASS_TOL * wnorm:
+                    break
         if hnorm <= _BREAKDOWN_TOL * wnorm:
             return None, None, j + 1
         H[j + 1, j] = hnorm
@@ -97,18 +121,11 @@ def arnoldi_build(A, b, m, mode=MODE_FULL, t=2, counters=None):
     beta = np.linalg.norm(b)
     if beta == 0:
         raise ValueError("start vector must be nonzero")
-    N = A.nrows
-    V = np.empty((N, m), dtype=np.complex128, order="F")
-    H = np.zeros((m + 1, m), dtype=np.complex128)
-    V[:, 0] = b / beta
-    v_next, w_next, breakdown = _advance(A, V, H, 0, m, mode, t, counters, None)
-    if breakdown is not None:
-        j = breakdown
-        return ArnoldiFactorization(V=V[:, :j].copy(order="F"), H=H[: j + 1, :j].copy(),
-                                    v_next=None, w_next=None, mode=mode, t=t,
-                                    breakdown=j)
-    return ArnoldiFactorization(V=V, H=H, v_next=v_next, w_next=w_next,
-                                mode=mode, t=t)
+    empty = ArnoldiFactorization(
+        V=np.empty((A.nrows, 0), dtype=np.complex128, order="F"),
+        H=np.zeros((1, 0), dtype=np.complex128), v_next=b / beta, w_next=None,
+        mode=mode, t=t)
+    return arnoldi_extend(empty, A, m, counters)
 
 
 def arnoldi_extend(fac, A, m_new, counters=None):

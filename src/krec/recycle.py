@@ -100,18 +100,9 @@ def propagate_AU(prev_AU, fac, X_kry, X_aug):
     if prev_AU is None:
         if X_aug.shape[0] != 0:
             raise EpochMismatchError("no cached AU for the augmentation block")
-        prev_AU = np.zeros((fac.V.shape[0], 0), dtype=np.complex128)
     elif prev_AU.shape[1] != X_aug.shape[0]:
         raise EpochMismatchError("cached AU width does not match X_aug rows")
-    out = fac.V @ (fac.square_h() @ X_kry)
-    hv = fac.h_tail * fac.v_next if fac.breakdown is None else None
-    # by blocks of rows: no N x k temporary next to the caller's new U
-    for i in range(0, out.shape[0], 4096):
-        rows = slice(i, i + 4096)
-        out[rows] += prev_AU[rows] @ X_aug
-        if hv is not None:
-            out[rows] += np.outer(hv[rows], X_kry[-1, :])
-    return out
+    return fac.image(fac.V, fac.v_next, X_kry, prev_AU, X_aug)
 
 
 def update_inexact(bundle, k):

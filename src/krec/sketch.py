@@ -80,15 +80,13 @@ def sketch_av_from_arnoldi(S, fac, SV, s_next):
     holds for truncated (non-orthogonal) bases.
     """
     SV = np.asarray(SV)
-    m = fac.m
-    if SV.shape != (S.s, m):
+    if SV.shape != (S.s, fac.m):
         raise DimensionMismatchError("cached basis sketches have wrong shape")
-    SAV = SV @ fac.square_h()
     if fac.breakdown is None:
         if s_next is None or np.shape(s_next) != (S.s,):
             raise DimensionMismatchError("missing cached sketch of v_next")
-        SAV[:, m - 1] += fac.h_tail * np.asarray(s_next)
-    return SAV
+        s_next = np.asarray(s_next)
+    return fac.image(SV, s_next)
 
 
 def estimate_epsilon(S, vectors, sketched=None, counters=None):

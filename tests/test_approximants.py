@@ -105,8 +105,8 @@ class TestRfomStep:
         b = _random_complex(rng, 50)
         fac = arnoldi_build(A, b, 12)
         plain = fom_closed(fac.V, fac.square_h(), b, INVSQRT)
-        res = rfom_step(A, b, None, 12, INVSQRT)
-        diff = np.linalg.norm(res.approximant.full_vector() - plain.full_vector())
+        approx, _ = rfom_step(A, b, None, 12, INVSQRT)
+        diff = np.linalg.norm(approx.full_vector() - plain.full_vector())
         assert diff <= 1e-13 * np.linalg.norm(plain.full_vector())
 
     def test_invariant_subspace_improves_error(self):
@@ -121,9 +121,9 @@ class TestRfomStep:
         U = Q[:, :3]  # eigenvectors of the small cluster
         m = 10
         err_fom = np.linalg.norm(
-            rfom_step(A, b, None, m, INVSQRT).approximant.full_vector() - exact)
+            rfom_step(A, b, None, m, INVSQRT)[0].full_vector() - exact)
         err_rfom = np.linalg.norm(
-            rfom_step(A, b, U, m, INVSQRT).approximant.full_vector() - exact)
+            rfom_step(A, b, U, m, INVSQRT)[0].full_vector() - exact)
         assert err_rfom < err_fom
 
     def test_matvec_counts(self):
@@ -147,9 +147,9 @@ class TestRfomStep:
         fac = arnoldi_build(A, b, 8)
         U = fac.V[:, :2]  # lies inside the Krylov space: dependent columns
         with pytest.warns(UserWarning):
-            res = rfom_step(A, b, U, 8, INVSQRT)
-        assert res.k_used < 2
-        assert np.all(np.isfinite(res.approximant.full_vector()))
+            approx, basis = rfom_step(A, b, U, 8, INVSQRT)
+        assert basis.k < 2
+        assert np.all(np.isfinite(approx.full_vector()))
 
     def test_dependent_columns_dropped_independent_kept(self):
         rng = np.random.default_rng(21)
@@ -160,10 +160,10 @@ class TestRfomStep:
         U = np.column_stack([fac.V[:, :2] @ _random_complex(rng, 2), free,
                              fac.V[:, 2]])
         with pytest.warns(UserWarning, match="dropping 2 numerically dependent"):
-            res = rfom_step(A, b, U, 8, INVSQRT)
-        assert res.k_used == 1
+            _, basis = rfom_step(A, b, U, 8, INVSQRT)
+        assert basis.k == 1
         # Q's first column is the surviving U column, normalized
-        q0 = res.basis[:, 0]
+        q0 = basis.Q[:, 0]
         assert abs(abs(np.vdot(q0, free)) - np.linalg.norm(free)) \
             <= 1e-12 * np.linalg.norm(free)
 
@@ -267,7 +267,7 @@ class TestSfomWhitened:
             AV = A.to_dense() @ fac.V
             SAV = _isometric_sketch_columns(S, AV)
             out = sfom_whitened(fac.V, SV, SAV, sketch_apply(S, b), INV)
-            fomv = rfom_step(A, b, None, 30, INV).approximant.full_vector()
+            fomv = rfom_step(A, b, None, 30, INV)[0].full_vector()
             e_sfom = np.linalg.norm(out.full_vector() - exact)
             e_fom = np.linalg.norm(fomv - exact)
             if e_sfom > 10 * e_fom:
@@ -506,7 +506,8 @@ def _nest_columns(kind, basis):
         return {"V": basis.fac.V.copy()}, None, basis.fac.V.copy()
     if kind == "augmented":
         return {"Q": basis.Q.copy()}, None, basis.Q.copy()
-    kept = {"Vhat": basis.Vhat.copy(), "SVhat": basis.SVhat.copy()}
+    # S Vhat is stored as its grown QR: Q and R only gain columns
+    kept = {"Vhat": basis.Vhat.copy(), "Q": basis.qr.Q.copy(), "R": basis.R.copy()}
     return kept, basis.SAVhat.copy(), basis.SVhat.copy()
 
 
@@ -527,7 +528,8 @@ def test_extend_keeps_leading_columns(kind, k, m, d):
     approx = basis.approximant(_NEST_B, INVSQRT)
     kept_new, SAV_new, W_new = _nest_columns(kind, basis)
     for name, old in kept_old.items():
-        np.testing.assert_array_equal(kept_new[name][:, :old.shape[1]], old, err_msg=name)
+        np.testing.assert_array_equal(kept_new[name][:old.shape[0], :old.shape[1]], old,
+                                      err_msg=name)
     if SAV_old is not None:
         lead = SAV_new[:, :SAV_old.shape[1]]
         assert np.linalg.norm(lead - SAV_old) <= 1e-13 * np.linalg.norm(SAV_old)

@@ -163,16 +163,27 @@ def test_sketch_av_identity_large():
 @given(st.integers(5, 70).filter(lambda N: N & (N - 1)).flatmap(lambda N: st.tuples(
     st.just(N), st.integers(1, N), st.sampled_from([MODE_FULL, MODE_TRUNCATED]),
     st.integers(1, 8), st.one_of(st.just(None), st.integers(1, N)),
+    st.integers(0, 3), st.integers(1, 4), st.one_of(st.just(None), st.integers(1, N - 1)),
     st.integers(0, 2**32 - 1))))
 def test_sketch_av_identity_property(case):
     # S A V_m = (S V_m) H_m + h (S v_next) e_m^T for both Arnoldi modes, at
-    # non-power-of-two N, with s small or (None) the padded length
-    N, m, mode, t, s, seed = case
+    # non-power-of-two N, with s small or (None) the padded length; and the
+    # kernel behind it, fac.image(M V_m, M v_next, Y, M A U, Y_U), equals
+    # M A [U, V_m] [Y_U; Y] for M = I and M = S.  With r, A is block diagonal
+    # and b lies in its leading r x r block, so a build past r breaks down.
+    N, m, mode, t, s, k, p, r, seed = case
     rng = np.random.default_rng(seed)
     dense = _random_complex(rng, (N, N))
     dense[rng.random((N, N)) > 0.3] = 0.0
+    b = _random_complex(rng, N)
+    if r is not None:
+        dense[:r, r:] = dense[r:, :r] = 0.0
+        b[r:] = 0.0
+        t = max(t, r)  # truncated Arnoldi then orthogonalizes against all of V_r
     A = CSRMatrix.from_dense(dense)
-    fac = arnoldi_build(A, _random_complex(rng, N), m, mode=mode, t=t)
+    fac = arnoldi_build(A, b, m, mode=mode, t=t)
+    if r is not None and m > r:
+        assert fac.breakdown is not None
     S = sketch_new(N, s or 1 << (N - 1).bit_length(), seed)
     assert S.is_isometry == (s is None)
     SV = np.column_stack([sketch_apply(S, fac.V[:, j]) for j in range(fac.m)])
@@ -180,9 +191,19 @@ def test_sketch_av_identity_property(case):
     got = sketch_av_from_arnoldi(S, fac, SV, s_next)
     want = sketch_dense(S) @ dense @ fac.V
     # the Arnoldi relation holds to O(sqrt(m) eps ||A||) and ||S||_2 <= sqrt(pad/s)
-    bound = (100 * fac.m * np.finfo(float).eps * np.sqrt(S.pad / S.s)
-             * np.linalg.norm(dense, 2) * max(1.0, np.linalg.norm(fac.V, 2)))
+    eps, norm_a = np.finfo(float).eps, np.linalg.norm(dense, 2)
+    norm_v = max(1.0, np.linalg.norm(fac.V, 2))
+    bound = 100 * fac.m * eps * np.sqrt(S.pad / S.s) * norm_a * norm_v
     assert np.linalg.norm(got - want) <= bound
+    U = _random_complex(rng, (N, k))
+    Y, YU = _random_complex(rng, (fac.m, p)), _random_complex(rng, (k, p))
+    for M, norm_m in ((np.eye(N), 1.0), (sketch_dense(S), np.sqrt(S.pad / S.s))):
+        x_next = None if fac.breakdown is not None else M @ fac.v_next
+        got = fac.image(M @ fac.V, x_next, Y, M @ (dense @ U), YU)
+        want = M @ (dense @ (U @ YU + fac.V @ Y))
+        bound = (100 * (fac.m + k) * eps * norm_m * norm_a
+                 * (norm_v * np.linalg.norm(Y, 2) + np.linalg.norm(U, 2) * np.linalg.norm(YU, 2)))
+        assert np.linalg.norm(got - want) <= bound
 
 
 def test_sketch_av_breakdown_case():
