@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
@@ -19,7 +18,7 @@ from .linalg import (
     herm_mul,
     lu_solve,
     qr_econ,
-    right_div_triangular,
+    rcond,
     svd_truncated,
     whiten,
     whiten_r,
@@ -139,7 +138,7 @@ class AugmentedBasis(_GrownBasis):
     call to the grown QR (``linalg.GrowingQR``: block classical Gram-Schmidt
     against Q run twice, then a QR of the new block).  Column j of [U, V_m]
     is charged j+1 inner products, the cost a one-shot QR of [U, V_m] is
-    charged.  G = Q* A Q = P R^{-1} (see ``_GrownBasis``).
+    charged.  ``whitening`` holds G = Q* A Q = P R^{-1} (see ``_GrownBasis``).
     """
 
     def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
@@ -161,39 +160,40 @@ class AugmentedBasis(_GrownBasis):
         self.U, self.AU = U, AU
         self._start(U.shape[0], AU)
         self.m = 0               # Krylov columns absorbed
-        self.fac = None
-        self.G = None
+        self.fac = self.whitening = None
         self._append(U, self.counters)
 
     @property
     def Q(self):
         return self.qr.Q
 
+    @property
+    def G(self):
+        return self.whitening.G
+
     def extend(self, fac):
         """Absorb the Krylov columns of fac not yet in Q and update G.
 
-        fac must extend the factorization of the previous call.  If a column
-        turns out numerically dependent, U columns are dropped (with a
-        warning) and the basis is rebuilt from the rest.
+        fac must extend the factorization of the previous call.  If R's
+        estimated reciprocal condition number is at most _DROP_TOL, U columns
+        are dropped (with a warning) and the basis is rebuilt from the rest.
         """
         self._append(fac.V[:, self.m:], self.counters)
         self.m, self.fac = fac.m, fac
-        d = np.abs(np.diagonal(self.R))
-        flagged = int(np.count_nonzero(d <= _DROP_TOL * max(d.max(), 1.0)))
-        if flagged and self.k:
-            self._drop_dependent(flagged)
+        if self.k and rcond(self.R) <= _DROP_TOL:
+            self._drop_dependent()
             self.extend(fac)
             return
-        self.G = right_div_triangular(self._project(fac, fac.v_next), self.R)
+        self.whitening = whiten_r(self.R, self._project(fac, fac.v_next))
 
-    def _drop_dependent(self, flagged):
+    def _drop_dependent(self):
         # V is orthonormal, so any dependency is attributable to U: probe U
-        # after V_m and drop at least as many U columns as were flagged, those
-        # with the smallest probe diagonals.  Q* [U, V_m] = R and R_V has
-        # orthonormal columns, so the probe is the QR of R_U - R_V (R_V* R_U).
+        # after V_m and drop at least one U column, those with the smallest
+        # probe diagonals.  Q* [U, V_m] = R and R_V has orthonormal columns,
+        # so the probe is the QR of R_U - R_V (R_V* R_U).
         RU, RV = self.R[:, :self.k], self.R[:, self.k:]
         du = np.abs(np.diagonal(qr_econ(RU - RV @ herm_mul(RV, RU)).R))
-        n_drop = min(self.k, max(flagged, int(np.count_nonzero(
+        n_drop = min(self.k, max(1, int(np.count_nonzero(
             du <= _DROP_TOL * max(du.max(), 1.0)))))
         keep = np.sort(np.argsort(du, kind="stable")[n_drop:])
         warnings.warn(
@@ -204,13 +204,7 @@ class AugmentedBasis(_GrownBasis):
 
     def approximant(self, b, f):
         """Closed-form rFOM approximant Q f(G) Q* b."""
-        approx = fom_closed(self.Q, self.G, b, f, self.counters)
-        if not np.all(np.isfinite(approx.coeffs)):
-            raise RankDeficiencyError(
-                "augmented approximant is not finite: [U, V_m] is numerically "
-                "rank-deficient or f overflowed on G"
-            )
-        return approx
+        return fom_closed(self.Q, self.G, b, f, self.counters)
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
 
@@ -222,7 +216,7 @@ class AugmentedBasis(_GrownBasis):
         and the Arnoldi relation.
         """
         U, ritz, X = update_orthonormal(self.Q, self.G, k)
-        Y = scipy.linalg.solve_triangular(self.R, X)
+        Y = self.whitening.back(X)
         AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,
                             k_target=k, ritz_values=ritz)

@@ -83,12 +83,16 @@ class SequenceSpec:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.t < 1:
             raise ConfigError("need t >= 1")
+        if self.seed < 0:
+            raise ConfigError("need seed >= 0")
         if not (np.isfinite(self.perturbation) and self.perturbation >= 0):
             raise ConfigError("perturbation must be finite and nonnegative")
         if not 0 < self.svdtol <= 1:  # also rejects nan
             raise ConfigError("need 0 < svdtol <= 1")
         m_top, m_key = ((self.m.m_max, "m_max") if isinstance(self.m, AdaptiveM)
                         else (self.m, "m"))
+        if m_top < 1:
+            raise ConfigError(f"need {m_key} >= 1")
         if self.uses_sketching:
             if self.s <= 0:
                 raise ConfigError("sketched methods require s > 0")
@@ -136,6 +140,8 @@ def load_matrix(source, shift=0.0):
             raise ConfigError(f"unknown generator {source.name!r}") from None
         try:
             A = gen(**source.params)
+        except ValueError as exc:
+            raise ConfigError(f"generator {source.name!r}: {exc}") from None
         except TypeError:
             # a parameter the generator does not take is a configuration error
             try:

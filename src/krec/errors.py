@@ -22,11 +22,11 @@ class EigConvergenceError(KrecError):
 
 
 class DomainError(KrecError):
-    """An eigenvalue lies (numerically) in the forbidden set of the scalar function."""
+    """f is undefined or not finite on the projected matrix."""
 
 
 class RankDeficiencyError(KrecError):
-    """A sketched basis is numerically rank-deficient; use the stabilized path."""
+    """A basis is numerically rank-deficient; a sketched one has a stabilized path."""
 
 
 class EpochMismatchError(KrecError):

@@ -52,21 +52,25 @@ def herm_mul(Q, X):
     return (X.conj().T @ Q).conj().T
 
 
+def project(Q, W):
+    """One block classical Gram-Schmidt pass in place: W -= Q C; returns C = Q* W."""
+    C = herm_mul(Q, W)
+    W -= Q @ C
+    return C
+
+
 def cgs2(Q, W):
     """Project W (a vector or a block) onto the orthogonal complement of range(Q).
 
-    Block classical Gram-Schmidt run twice, which keeps the result orthogonal
-    to Q's orthonormal columns to working precision ("twice is enough":
-    Giraud, Langou & Rozložník, Comput. Math. Appl. 2005).  Each pass is two
-    BLAS-2/3 products.  Returns (W - Q C, C) with C = C_1 + C_2 the summed
-    coefficients of both passes; W is not modified.  Nothing is counted: the
-    caller charges its own cost model.
+    Two ``project`` passes on a copy of W, which keep the result orthogonal to
+    Q's orthonormal columns to working precision ("twice is enough": Giraud,
+    Langou & Rozložník, Comput. Math. Appl. 2005).  Returns (W - Q C, C) with
+    C = C_1 + C_2 the summed coefficients of both passes.  Nothing is counted:
+    the caller charges its own cost model.
     """
-    C = herm_mul(Q, W)
-    W = W - Q @ C
-    C2 = herm_mul(Q, W)
-    W -= Q @ C2
-    C += C2
+    W = np.array(W, dtype=np.complex128, order="C")
+    C = project(Q, W)
+    C += project(Q, W)
     return W, C
 
 
@@ -125,7 +129,7 @@ class GrowingQR:
 
     The QR of an ill-conditioned block turns the rounding left along Q into
     a loss of orthogonality of about eps * cond(block).  A block whose R has
-    an estimated 1-norm condition number (LAPACK trcon, O(d^2) work) above
+    an estimated 1-norm condition number (``rcond``, O(d^2) work) above
     REORTH_COND is therefore projected and factored once more (block CGS2 of
     Barlow & Smoktunowicz, Numer. Math. 2013), so Q stays orthonormal and
     sigma(R) = sigma(M) to rounding even when M is numerically rank-deficient.
@@ -161,10 +165,9 @@ class GrowingQR:
         qr = qr_econ(W, counters)
         Qnew, Rnew = qr.Q, qr.R
         if n:
-            trcon = scipy.linalg.lapack.get_lapack_funcs("trcon", (Rnew,))
-            if trcon(Rnew, norm="1")[0] * self.REORTH_COND <= 1.0:
-                C2 = herm_mul(self.Q, Qnew)
-                qr = qr_econ(Qnew - self.Q @ C2)
+            if rcond(Rnew) * self.REORTH_COND <= 1.0:
+                C2 = project(self.Q, Qnew)
+                qr = qr_econ(Qnew)
                 Qnew, C, Rnew = qr.Q, C + C2 @ Rnew, qr.R @ Rnew
         if n + d > self._buf.shape[1]:
             buf = np.empty((self._buf.shape[0], max(n + d, 2 * self._buf.shape[1])),
@@ -180,6 +183,12 @@ class GrowingQR:
         return Qnew
 
 
+def rcond(R):
+    """Reciprocal 1-norm condition estimate of an upper-triangular R (LAPACK trcon)."""
+    trcon = scipy.linalg.lapack.get_lapack_funcs("trcon", (R,))
+    return trcon(R, norm="1")[0]
+
+
 def check_sketched_rank(R):
     """Raise RankDeficiencyError if R is wide or min |R_jj| <= 1e-13 max |R_jj|."""
     if R.shape[0] < R.shape[1]:
@@ -187,7 +196,7 @@ def check_sketched_rank(R):
     d = np.abs(np.diagonal(R))
     if d.size and d.min() <= 1e-13 * d.max():
         raise RankDeficiencyError(
-            "sketched basis is numerically rank-deficient; use the stabilized form")
+            "basis is numerically rank-deficient: min |R_jj| <= 1e-13 max |R_jj|")
 
 
 @dataclass(frozen=True)
@@ -216,14 +225,14 @@ class Whitening:
 
 
 def whiten_r(R, P, svdtol=None):
-    """Whitening of S Vhat = Q R from R and P = Q* S A Vhat alone.
+    """Whitening of a grown basis M = Q R from R and P = Q* X alone, X the image of M.
 
     QR form: the rank check on R and G = P R^{-1}.  With svdtol: the SVD of
     the small R cut at svdtol * sigma_1, G = L* P J / sigma.
     """
     if svdtol is None:
         check_sketched_rank(R)
-        return Whitening(G=right_div_triangular(P, R), D=R)
+        return Whitening(G=scipy.linalg.solve_triangular(R.T, P.T, lower=True).T, D=R)
     L, sig, J = svd_truncated(R, svdtol)
     return Whitening(G=(herm_mul(L, P) @ J) / sig[np.newaxis, :], D=sig, J=J, L=L)
 
@@ -299,11 +308,6 @@ def partial_schur_closest_to_origin(M, k):
             T, Z, _ = scipy.linalg.lapack.ztrexc(T, Z, best + 1, j + 1,
                                                  overwrite_a=True, overwrite_q=True)
     return PartialSchur(X=Z[:, :k], T=np.triu(T[:k, :k]))
-
-
-def right_div_triangular(P, R):
-    """Return P @ R^{-1} for upper-triangular R."""
-    return scipy.linalg.solve_triangular(R.T, P.T, lower=True).T
 
 
 def lu_solve(M, B, counters=None):

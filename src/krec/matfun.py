@@ -83,33 +83,33 @@ def _inv_solve(f, H, B):
     the eigenvalues alone decide whether to raise DomainError.
     """
     n = H.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
     try:
-        Y = lu_solve(H, eye if B is None else np.column_stack([B, eye]))
+        Y = lu_solve(H, np.column_stack([B, np.eye(n, dtype=np.complex128)]))
     except SingularMatrixError:
         f.check_spectrum(eigvals_dense(H))
         raise
-    Hinv = Y[:, -n:]
     slack = _CERT_SAFETY * (_DOMAIN_TOL + n * np.finfo(float).eps * np.linalg.norm(H))
-    if not (np.isfinite(slack) and slack * np.linalg.norm(Hinv) <= 1.0):
+    if not (np.isfinite(slack) and slack * np.linalg.norm(Y[:, -n:]) <= 1.0):
         f.check_spectrum(eigvals_dense(H))
-    return Hinv if B is None else Y[:, 0]
+    return Y[:, :-n]
 
 
 def _apply(f, H, B):
-    """f(H) @ B for a square complex H, or f(H) itself when B is None."""
+    """f(H) @ B for a square complex H and a block B; DomainError unless finite."""
     if not np.all(np.isfinite(H)):
         raise EigConvergenceError("projected matrix has non-finite entries")
     if f.kind == "inv":
-        return _inv_solve(f, H, B)
-    if f.kind == "exp":
-        E = scipy.linalg.expm(f.tau * H)
-        return E if B is None else E @ B
-    T, Z = scipy.linalg.schur(H, output="complex")
-    f.check_spectrum(np.diagonal(T))
-    R = scipy.linalg.sqrtm(T)  # upper triangular: the principal root of T
-    ZhB = Z.conj().T if B is None else Z.conj().T @ B
-    return Z @ scipy.linalg.solve_triangular(R, ZhB)
+        Y = _inv_solve(f, H, B)
+    elif f.kind == "exp":
+        Y = scipy.linalg.expm(f.tau * H) @ B
+    else:
+        T, Z = scipy.linalg.schur(H, output="complex")
+        f.check_spectrum(np.diagonal(T))
+        R = scipy.linalg.sqrtm(T)  # upper triangular: the principal root of T
+        Y = Z @ scipy.linalg.solve_triangular(R, Z.conj().T @ B)
+    if not np.all(np.isfinite(Y)):
+        raise DomainError(f"{f.kind} is not finite on the projected matrix")
+    return Y
 
 
 def matfun(f, H):
@@ -117,7 +117,7 @@ def matfun(f, H):
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatchError("matfun requires a square matrix")
-    return _apply(f, H, None)
+    return _apply(f, H, np.eye(H.shape[0], dtype=np.complex128))
 
 
 def matfun_apply(f, H, c):
@@ -128,4 +128,4 @@ def matfun_apply(f, H, c):
         raise DimensionMismatchError("matfun_apply requires a square matrix")
     if c.shape != (H.shape[0],):
         raise DimensionMismatchError("vector length incompatible with matrix")
-    return _apply(f, H, c)
+    return _apply(f, H, c[:, np.newaxis])[:, 0]

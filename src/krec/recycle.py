@@ -105,11 +105,5 @@ def propagate_AU(prev_AU, fac, X_kry, X_aug):
     return fac.image(fac.V, fac.v_next, X_kry, prev_AU, X_aug)
 
 
-def update_inexact(bundle, k):
-    """Inexact sketched Rayleigh-Ritz update (configuration-flag path).
-
-    Identical arithmetic to update_sketched; the inexactness (stale SAU
-    columns for a changed matrix) is introduced upstream by running the
-    sketched step with the inexact flag, which skips the SAU refresh.
-    """
-    return update_sketched(bundle, k)
+# inexact only by its input: with inexact_srr, S A U is the previous matrix's
+update_inexact = update_sketched

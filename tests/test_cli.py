@@ -84,6 +84,11 @@ def test_error_exit_code(tmp_path, capsys):
          + "s = 20\nadaptive = true\nm_max = 20\n", "need m_max < s"),
         (good.replace("method = fom", "method = rfom")
          + "k = 25\nadaptive = true\nm_max = 20\n", "need 0 <= k < m_max"),
+        # values the solver or a generator rejects are input errors too
+        (good.replace("m = 10", "m = 0"), "need m >= 1"),
+        (good + "seed = -1\n", "need seed >= 0"),
+        (good.replace("gen:hpd:N=50", "gen:neumann2d:n=1"), "generator 'neumann2d'"),
+        (good.replace("N=50", "N=0"), "generator 'hpd'"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])

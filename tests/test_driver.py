@@ -184,21 +184,36 @@ class TestRunSequence:
                 projections = sum(kk + s for s in range(d, m + 1, d))
                 assert r.inner_products == m * m + 3 * m + n * (n + 1) // 2 + projections
 
-    def test_chained_rfom_failures_recorded(self):
-        # a numerically rank-deficient augmented basis makes exp of the
-        # projected matrix overflow; the problem must fail on record instead
-        # of handing a NaN to the next problem as its right-hand side
+    def test_chained_rfom_solves_every_problem(self):
+        # b_(i+1) lies in span[U, V_m] of problem i, so [U, V_m] is
+        # collectively near-dependent while every R diagonal passes; the
+        # condition estimate of R drops U columns before G is formed
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with np.errstate(all="ignore"):
-                recs = run_sequence(SequenceSpec(
-                    function=exp_scaled(0.01), method="rfom", k=20, num_problems=4,
-                    matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
-                    rhs_rule="chain", t=2, timing_reps=1,
-                    m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
-        assert len(recs) == 4
+            recs = run_sequence(SequenceSpec(
+                function=exp_scaled(0.01), method="rfom", k=20, num_problems=3,
+                matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
+                rhs_rule="chain", t=2, timing_reps=1,
+                m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
+        assert [r.error for r in recs] == [None] * 3
+        assert all(r.relerr <= 1e-8 for r in recs)
+
+    @pytest.mark.parametrize("method", ["fom", "sfom", "rfom", "srfom_stab"])
+    def test_overflow_of_f_fails_on_record(self, method):
+        # exp(800) overflows in f(G) c for every basis: each problem fails on
+        # record, and the chain restarts instead of taking a NaN as its b
+        extra = {"s": 60} if method in ("sfom", "srfom_stab") else {}
+        if method in ("rfom", "srfom_stab"):
+            extra["k"] = 3
+        with np.errstate(all="ignore"):
+            recs = run_sequence(SequenceSpec(
+                function=exp_scaled(100.0), method=method, num_problems=2, m=10,
+                matrix_source=GeneratorSource("neumann2d", {"n": 10}),
+                rhs_rule="chain", timing_reps=1, **extra))
+        assert len(recs) == 2
         for r in recs:
-            assert r.error is not None or (r.relerr is not None and np.isfinite(r.relerr))
+            assert not r.converged and r.error.startswith("DomainError")
+            assert r.relerr is None
 
     def test_adaptive_m_multiple_of_d(self):
         spec = _spec(m=AdaptiveM(reltol=1e-6, d=7, m_max=70), stop_rule="oracle")
@@ -337,7 +352,7 @@ class TestRecyclingUpdate:
                 _, m_used, _, _ = krec.driver._solve(spec, A, b, basis, counters,
                                                      DenseOracle(INV))
                 state = basis.recycle(k)
-            order = basis.G.shape[0] if method == "rfom" else basis.whitening.G.shape[0]
+            order = basis.whitening.G.shape[0]
             assert m_used == 10 and order <= m_used, method
             assert order == m_used or method == "srfom_stab", method
             assert state.k == order and state.k_target == k, method

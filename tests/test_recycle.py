@@ -339,7 +339,7 @@ def test_ritz_values_are_smallest_eigenvalues_of_approximant_G(method):
         basis.extend(fac)
         basis.extend(arnoldi_extend(fac, A, 20))
         basis.approximant(b, INVSQRT)
-        G = basis.G if method == "rfom" else basis.whitening.G
+        G = basis.whitening.G
         state = basis.recycle(k)
         lam = eig_dense(G)[0]
         want = np.sort_complex(lam[np.argsort(np.abs(lam), kind="stable")[:k]])
