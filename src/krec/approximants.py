@@ -83,6 +83,7 @@ class KrylovBasis:
 
     def __init__(self, counters=None):
         self.counters = counters
+        self.fac = None
 
     def extend(self, fac):
         self.fac = fac
@@ -154,14 +155,10 @@ class AugmentedBasis(_GrownBasis):
             raise DimensionMismatchError("AU must have the shape of U")
         self.counters = counters
         self.matrix_epoch = matrix_epoch
-        self._start_with(U, AU)
-
-    def _start_with(self, U, AU):
-        self.U, self.AU = U, AU
-        self._start(U.shape[0], AU)
         self.m = 0               # Krylov columns absorbed
         self.fac = self.whitening = None
-        self._append(U, self.counters)
+        self._start(N, AU)
+        self._append(U, counters)
 
     @property
     def Q(self):
@@ -176,31 +173,33 @@ class AugmentedBasis(_GrownBasis):
 
         fac must extend the factorization of the previous call.  If R's
         estimated reciprocal condition number is at most _DROP_TOL, U columns
-        are dropped (with a warning) and the basis is rebuilt from the rest.
+        are dropped, with one warning, by a change of coordinates of the QR.
         """
         self._append(fac.V[:, self.m:], self.counters)
         self.m, self.fac = fac.m, fac
-        if self.k and rcond(self.R) <= _DROP_TOL:
-            self._drop_dependent()
-            self.extend(fac)
-            return
+        self._drop_dependent()
         self.whitening = whiten_r(self.R, self._project(fac, fac.v_next))
 
     def _drop_dependent(self):
         # V is orthonormal, so any dependency is attributable to U: probe U
-        # after V_m and drop at least one U column, those with the smallest
-        # probe diagonals.  Q* [U, V_m] = R and R_V has orthonormal columns,
-        # so the probe is the QR of R_U - R_V (R_V* R_U).
-        RU, RV = self.R[:, :self.k], self.R[:, self.k:]
-        du = np.abs(np.diagonal(qr_econ(RU - RV @ herm_mul(RV, RU)).R))
-        n_drop = min(self.k, max(1, int(np.count_nonzero(
-            du <= _DROP_TOL * max(du.max(), 1.0)))))
-        keep = np.sort(np.argsort(du, kind="stable")[n_drop:])
-        warnings.warn(
-            f"dropping {n_drop} numerically dependent augmentation column(s)",
-            stacklevel=3,
-        )
-        self._start_with(self.U[:, keep], self.AU[:, keep])
+        # after V_m and drop the U column with the smallest probe diagonal
+        # until R is well conditioned.  Q* [U, V_m] = R and R_V has
+        # orthonormal columns, so the probe is the QR of R_U - R_V (R_V* R_U).
+        # A drop re-factors the small R (GrowingQR.keep), so Q* A U becomes
+        # Q'* (Q* A U) and no column of [U, V_m] is orthogonalized again.
+        k = self.k
+        while self.k and rcond(self.R) <= _DROP_TOL:
+            RU, RV = self.R[:, :self.k], self.R[:, self.k:]
+            du = np.abs(np.diagonal(qr_econ(RU - RV @ herm_mul(RV, RU)).R))
+            keep = np.delete(np.arange(self.k), np.argmin(du))
+            Qp = self.qr.keep(np.r_[keep, self.k:self.qr.n])
+            self._XU, self._QXU = self._XU[:, keep], herm_mul(Qp, self._QXU[:, keep])
+            self.k -= 1
+        if self.k < k:
+            warnings.warn(
+                f"dropping {k - self.k} numerically dependent augmentation column(s)",
+                stacklevel=3,
+            )
 
     def approximant(self, b, f):
         """Closed-form rFOM approximant Q f(G) Q* b."""
@@ -217,7 +216,7 @@ class AugmentedBasis(_GrownBasis):
         """
         U, ritz, X = update_orthonormal(self.Q, self.G, k)
         Y = self.whitening.back(X)
-        AU_new = propagate_AU(self.AU, self.fac, Y[self.k:], Y[:self.k])
+        AU_new = propagate_AU(self._XU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,
                             k_target=k, ritz_values=ritz)
 

@@ -83,6 +83,10 @@ class SequenceSpec:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.t < 1:
             raise ConfigError("need t >= 1")
+        if self.timing_reps < 1:
+            raise ConfigError("need timing_reps >= 1")
+        if self.oracle_cap < 0:
+            raise ConfigError("need oracle_cap >= 0")
         if self.seed < 0:
             raise ConfigError("need seed >= 0")
         if not (np.isfinite(self.perturbation) and self.perturbation >= 0):
@@ -273,7 +277,7 @@ def _new_basis(spec, A, S, recycle, epoch, counters):
 def _solve(spec, A, b, basis, counters, oracle):
     """Fixed or adaptive solve of one problem: extend the basis, extract, test.
 
-    Returns (approximant, m_used, converged, last estimate).
+    Returns (approximant, converged, last estimate); basis.fac holds the m used.
     """
     adaptive = isinstance(spec.m, AdaptiveM)
     m = spec.m.d if adaptive else spec.m
@@ -285,10 +289,10 @@ def _solve(spec, A, b, basis, counters, oracle):
         basis.extend(fac)
         approx = basis.approximant(b, spec.function)
         if not adaptive:
-            return approx, fac.m, True, None
+            return approx, True, None
         stop, est = _check_stop(spec, approx, prev_coeffs, oracle, b, basis)
         if stop or fac.m < m or m >= spec.m.m_max:
-            return approx, fac.m, stop or fac.m < m, est  # breakdown is exact
+            return approx, stop or fac.m < m, est  # breakdown is exact
         prev_coeffs = approx.coeffs
         m = min(m + spec.m.d, spec.m.m_max)
 
@@ -338,9 +342,10 @@ def _run_once(spec, A0):
         rec = RunRecord(problem_index=i, method=spec.method, m_used=0,
                         matvecs=0, inner_products=0, sketches=0)
         t0 = time.perf_counter()
+        basis = None
         try:
             basis = _new_basis(spec, A, S, recycle, epoch, counters)
-            approx, rec.m_used, rec.converged, rec.estimate_final = _solve(
+            approx, rec.converged, rec.estimate_final = _solve(
                 spec, A, b, basis, counters, oracle)
             rec.ell_used = approx.ell
             if spec.uses_recycling and spec.k > 0:
@@ -355,6 +360,8 @@ def _run_once(spec, A0):
             rec.error = f"{type(exc).__name__}: {exc}"
             approx = None
         rec.wall_time = time.perf_counter() - t0
+        if basis is not None and basis.fac is not None:  # the m reached, solved or not
+            rec.m_used = basis.fac.m
         rec.matvecs, rec.inner_products, rec.sketches = counters.snapshot()
         if approx is not None:
             full = approx.full_vector()
@@ -382,8 +389,7 @@ def run_sequence(spec):
             and A0.nrows > spec.oracle_cap):
         raise ConfigError(f"oracle stopping requires N = {A0.nrows} within the "
                           f"oracle cap {spec.oracle_cap}")
-    reps = max(1, spec.timing_reps)
-    all_runs = [_run_once(spec, A0) for _ in range(reps)]
+    all_runs = [_run_once(spec, A0) for _ in range(spec.timing_reps)]
     records = all_runs[-1]
     for idx, rec in enumerate(records):
         rec.wall_time = float(np.median([run[idx].wall_time for run in all_runs]))

@@ -122,7 +122,8 @@ class GrowingQR:
 
     append(W) orthogonalizes the new block against Q by ``cgs2``, takes the
     ``qr_econ`` of what is left and appends both, so M is never factored
-    again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
+    again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way);
+    keep(cols) drops columns of M by a change of coordinates of Q and R.
     Q lives in a column-major buffer that grows geometrically: an append
     copies Q only when the buffer is full, and no room is taken ahead for
     columns that may never come.
@@ -181,6 +182,19 @@ class GrowingQR:
         R[n:, n:] = Rnew
         self.R, self.n = R, n + d
         return Qnew
+
+    def keep(self, cols):
+        """Keep the columns cols of M, in that order, and drop the rest.
+
+        A change of coordinates, not a new factorization of M: for the QR
+        Q' R' = R[:, cols] of the small R, Q <- Q Q' and R <- R'.  Returns Q'.
+        Nothing is counted, as no column of M is orthogonalized again.
+        """
+        qr = qr_econ(self.R[:, cols])
+        n = len(cols)
+        self._buf[:, :n] = self.Q @ qr.Q
+        self.R, self.n = qr.R, n
+        return qr.Q
 
 
 def rcond(R):

@@ -160,13 +160,23 @@ class TestRfomStep:
         free = _random_complex(rng, 40)
         U = np.column_stack([fac.V[:, :2] @ _random_complex(rng, 2), free,
                              fac.V[:, 2]])
+        c = Counters()
         with pytest.warns(UserWarning, match="dropping 2 numerically dependent"):
-            _, basis = rfom_step(A, b, U, 8, INVSQRT)
+            _, basis = rfom_step(A, b, U, 8, INVSQRT, counters=c)
         assert basis.k == 1
         # Q's first column is the surviving U column, normalized
-        q0 = basis.Q[:, 0]
+        Q = basis.Q
+        q0 = Q[:, 0]
         assert abs(abs(np.vdot(q0, free)) - np.linalg.norm(free)) \
             <= 1e-12 * np.linalg.norm(free)
+        # the drop changed the coordinates of the grown QR, which still
+        # factors what is left, and charged nothing past the no-drop law:
+        # full Arnoldi, the QR of [U, V_m] once, and Q* b over what is left
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-13
+        M = np.column_stack([free, fac.V])
+        assert np.linalg.norm(Q @ basis.R - M) <= 1e-13 * np.linalg.norm(M)
+        m, n = 8, 3 + 8
+        assert c.snapshot()[1] == m * m + 3 * m + n * (n + 1) // 2 + (1 + m)
 
     def test_non_finite_approximant_raises(self):
         # exp(1000) overflows: matfun_apply judges f(G) c, not the basis

@@ -89,6 +89,10 @@ def test_error_exit_code(tmp_path, capsys):
         (good + "seed = -1\n", "need seed >= 0"),
         (good.replace("gen:hpd:N=50", "gen:neumann2d:n=1"), "generator 'neumann2d'"),
         (good.replace("N=50", "N=0"), "generator 'hpd'"),
+        # rejected, not clamped: a run repeats at least once, and a negative
+        # oracle cap would drop every relerr without a word
+        (good + "timing_reps = -3\n", "need timing_reps >= 1"),
+        (good + "oracle_cap = -1\n", "need oracle_cap >= 0"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])

@@ -197,6 +197,16 @@ class TestRunSequence:
                 m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
         assert [r.error for r in recs] == [None] * 3
         assert all(r.relerr <= 1e-8 for r in recs)
+        # a drop changes the coordinates of the grown QR and orthogonalizes
+        # nothing again: no problem is charged more than its no-drop law,
+        # full Arnoldi (m^2 + 3m), the QR of [U, V_m] and Q* b at every step
+        k = 0
+        for r in recs:
+            m, n = r.m_used, k + r.m_used
+            law = m * m + 3 * m + n * (n + 1) // 2 + sum(
+                k + m_step for m_step in range(10, m + 1, 10))
+            assert r.inner_products <= law, (r.problem_index, r.inner_products, law)
+            k = min(20, n)
 
     @pytest.mark.parametrize("method", ["fom", "sfom", "rfom", "srfom_stab"])
     def test_overflow_of_f_fails_on_record(self, method):
@@ -214,6 +224,7 @@ class TestRunSequence:
         for r in recs:
             assert not r.converged and r.error.startswith("DomainError")
             assert r.relerr is None
+            assert r.m_used == 10  # the m reached before f(G) c overflowed
 
     def test_adaptive_m_multiple_of_d(self):
         spec = _spec(m=AdaptiveM(reltol=1e-6, d=7, m_max=70), stop_rule="oracle")
@@ -349,9 +360,9 @@ class TestRecyclingUpdate:
                                            counters)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, m_used, _, _ = krec.driver._solve(spec, A, b, basis, counters,
-                                                     DenseOracle(INV))
+                krec.driver._solve(spec, A, b, basis, counters, DenseOracle(INV))
                 state = basis.recycle(k)
+            m_used = basis.fac.m
             order = basis.whitening.G.shape[0]
             assert m_used == 10 and order <= m_used, method
             assert order == m_used or method == "srfom_stab", method
