@@ -6,7 +6,6 @@ the full N-length vector is materialized lazily since the O(N(m+k)) linear
 combination should be avoided whenever possible.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,6 @@ from .linalg import (
     GrowingQR,
     herm_mul,
     lu_solve,
-    qr_econ,
     rcond,
     svd_truncated,
     whiten,
@@ -29,7 +27,14 @@ from .sketch import sketch_apply, sketch_av_from_arnoldi
 from .sparse import csr_matvec
 
 _COND_LIMIT = 1e14      # condition estimate cutoff for sgmres_type
-_DROP_TOL = 1e-12       # augmented-basis column drop threshold
+# rFOM whitens [U, V_m] = Q R by R while rcond(R) > _RCOND_MIN; at or below
+# it U is numerically dependent on V_m, and the SVD of R is cut at
+# _SVDTOL * sigma_1.  A higher switch truncates bases that R whitens well,
+# which costs inv-neumann2d matvecs.  A cut as low as the switch keeps
+# directions of [U, V_m] that rounding has already spoiled, and chained exp
+# sequences then fail problems; cuts from 1e-9 to 1e-6 behave alike.
+_RCOND_MIN = 1e-12
+_SVDTOL = 1e-8          # about sqrt(eps)
 
 
 @dataclass
@@ -67,15 +72,21 @@ class Approximant:
         return self._full
 
 
-def fom_closed(V, G, b, f, counters=None):
-    """FOM / Rayleigh-Ritz approximant V f(G) V* b for orthonormal V, G = V* A V."""
+def fom_closed(V, G, b, f, counters=None, L=None):
+    """FOM / Rayleigh-Ritz approximant V f(G) V* b for orthonormal V, G = V* A V.
+
+    With L (orthonormal columns): V L f(G) L* V* b for G = L* V* A V L, in V
+    coordinates, so the approximant's ell is L's width.
+    """
     V = np.asarray(V)
     b = np.asarray(b, dtype=np.complex128)
     c = herm_mul(V, b)
     if counters is not None:
         counters.add_inner_products(V.shape[1])
-    coeffs = matfun_apply(f, G, c)
-    return Approximant(coeffs=coeffs, basis=V)
+    if L is None:
+        return Approximant(coeffs=matfun_apply(f, G, c), basis=V)
+    return Approximant(coeffs=L @ matfun_apply(f, G, herm_mul(L, c)), basis=V,
+                       ell=L.shape[1])
 
 
 class KrylovBasis:
@@ -139,7 +150,14 @@ class AugmentedBasis(_GrownBasis):
     call to the grown QR (``linalg.GrowingQR``: block classical Gram-Schmidt
     against Q run twice, then a QR of the new block).  Column j of [U, V_m]
     is charged j+1 inner products, the cost a one-shot QR of [U, V_m] is
-    charged.  ``whitening`` holds G = Q* A Q = P R^{-1} (see ``_GrownBasis``).
+    charged.  Q and R only grow, so the coefficients of successive
+    approximants, in Q coordinates, nest.
+
+    ``whitening`` (``linalg.whiten_r``, see ``_GrownBasis`` for P) holds
+    G = Q* A Q = P R^{-1} while rcond(R) > _RCOND_MIN.  At or below it U is
+    numerically dependent on V_m, and R = L Sigma J* is cut at
+    _SVDTOL * sigma_1: G = L* Q* A Q L, the projection onto the ell
+    dominant directions Q L of [U, V_m].
     """
 
     def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
@@ -171,50 +189,27 @@ class AugmentedBasis(_GrownBasis):
     def extend(self, fac):
         """Absorb the Krylov columns of fac not yet in Q and update G.
 
-        fac must extend the factorization of the previous call.  If R's
-        estimated reciprocal condition number is at most _DROP_TOL, U columns
-        are dropped, with one warning, by a change of coordinates of the QR.
+        fac must extend the factorization of the previous call.
         """
         self._append(fac.V[:, self.m:], self.counters)
         self.m, self.fac = fac.m, fac
-        self._drop_dependent()
-        self.whitening = whiten_r(self.R, self._project(fac, fac.v_next))
-
-    def _drop_dependent(self):
-        # V is orthonormal, so any dependency is attributable to U: probe U
-        # after V_m and drop the U column with the smallest probe diagonal
-        # until R is well conditioned.  Q* [U, V_m] = R and R_V has
-        # orthonormal columns, so the probe is the QR of R_U - R_V (R_V* R_U).
-        # A drop re-factors the small R (GrowingQR.keep), so Q* A U becomes
-        # Q'* (Q* A U) and no column of [U, V_m] is orthogonalized again.
-        k = self.k
-        while self.k and rcond(self.R) <= _DROP_TOL:
-            RU, RV = self.R[:, :self.k], self.R[:, self.k:]
-            du = np.abs(np.diagonal(qr_econ(RU - RV @ herm_mul(RV, RU)).R))
-            keep = np.delete(np.arange(self.k), np.argmin(du))
-            Qp = self.qr.keep(np.r_[keep, self.k:self.qr.n])
-            self._XU, self._QXU = self._XU[:, keep], herm_mul(Qp, self._QXU[:, keep])
-            self.k -= 1
-        if self.k < k:
-            warnings.warn(
-                f"dropping {k - self.k} numerically dependent augmentation column(s)",
-                stacklevel=3,
-            )
+        svdtol = None if rcond(self.R) > _RCOND_MIN else _SVDTOL
+        self.whitening = whiten_r(self.R, self._project(fac, fac.v_next), svdtol)
 
     def approximant(self, b, f):
-        """Closed-form rFOM approximant Q f(G) Q* b."""
-        return fom_closed(self.Q, self.G, b, f, self.counters)
+        """Closed-form rFOM approximant Q L f(G) L* Q* b (L = I in the QR form)."""
+        return fom_closed(self.Q, self.G, b, f, self.counters, self.whitening.L)
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
 
     def recycle(self, k):
         """Recycling state for the next problem, with U and A U, no matvecs.
 
-        U_new = Q X spans the min(k, n) Ritz vectors of G closest to the
-        origin, and A U_new = A [U, V_m] R^{-1} X comes from the cached A U
-        and the Arnoldi relation.
+        U_new = Q L X spans the min(k, ell) Ritz vectors of G closest to the
+        origin, and A U_new = A [U, V_m] J Sigma^{-1} X (A [U, V_m] R^{-1} X in
+        the QR form) comes from the cached A U and the Arnoldi relation.
         """
-        U, ritz, X = update_orthonormal(self.Q, self.G, k)
+        U, ritz, X = update_orthonormal(self.Q, self.G, k, self.whitening.L)
         Y = self.whitening.back(X)
         AU_new = propagate_AU(self._XU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,

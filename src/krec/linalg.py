@@ -122,8 +122,7 @@ class GrowingQR:
 
     append(W) orthogonalizes the new block against Q by ``cgs2``, takes the
     ``qr_econ`` of what is left and appends both, so M is never factored
-    again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way);
-    keep(cols) drops columns of M by a change of coordinates of Q and R.
+    again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
     Q lives in a column-major buffer that grows geometrically: an append
     copies Q only when the buffer is full, and no room is taken ahead for
     columns that may never come.
@@ -183,19 +182,6 @@ class GrowingQR:
         self.R, self.n = R, n + d
         return Qnew
 
-    def keep(self, cols):
-        """Keep the columns cols of M, in that order, and drop the rest.
-
-        A change of coordinates, not a new factorization of M: for the QR
-        Q' R' = R[:, cols] of the small R, Q <- Q Q' and R <- R'.  Returns Q'.
-        Nothing is counted, as no column of M is orthogonalized again.
-        """
-        qr = qr_econ(self.R[:, cols])
-        n = len(cols)
-        self._buf[:, :n] = self.Q @ qr.Q
-        self.R, self.n = qr.R, n
-        return qr.Q
-
 
 def rcond(R):
     """Reciprocal 1-norm condition estimate of an upper-triangular R (LAPACK trcon)."""
@@ -215,10 +201,11 @@ def check_sketched_rank(R):
 
 @dataclass(frozen=True)
 class Whitening:
-    """S Vhat = Q R = Q L D J* with L, J orthonormal, and G = L* Q* S A Vhat J D^{-1}.
+    """M = Q R = Q L D J* with L, J orthonormal, and G = L* Q* X J D^{-1}, for a
+    grown basis M with image X: S Vhat and S A Vhat, or [U, V_m] and its A image.
 
     QR form: D = R and L = J = I (None).  SVD form: R = L diag(sigma) J*
-    truncated, D = sigma as a vector; its sigma and J are those of S Vhat.
+    truncated, D = sigma as a vector; its sigma and J are those of M.
     """
 
     G: np.ndarray

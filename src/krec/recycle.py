@@ -35,15 +35,16 @@ class RecycleState:
         return cls(U=np.zeros((N, 0), dtype=np.complex128), k_target=k_target)
 
 
-def update_orthonormal(basis, G, k):
+def update_orthonormal(basis, G, k, L=None):
     """Extract an orthonormal U of min(k, order of G) columns from an orthonormal
-    working basis.
+    working basis W = basis, or W = basis L for a given L with orthonormal columns.
 
-    G must be basis* A basis; the eigenvalues of G closest to the origin are
-    targeted.  Returns (U, ritz_values, X) with U = basis X.
+    G must be W* A W; the eigenvalues of G closest to the origin are
+    targeted.  Returns (U, ritz_values, X) with U = W X.
     """
     ps = partial_schur_closest_to_origin(G, k)
-    return np.asarray(basis) @ ps.X, np.diagonal(ps.T).copy(), ps.X
+    X = ps.X if L is None else L @ ps.X
+    return np.asarray(basis) @ X, np.diagonal(ps.T).copy(), ps.X
 
 
 def srr_matrix(qr, SAV):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,6 +100,25 @@ class TestFomClosed:
         assert np.linalg.norm(fac.V.conj().T @ resid) <= 1e-10 * np.linalg.norm(b)
 
 
+def _assert_truncated_rfom(A, b, U, span, m):
+    """rFOM over a numerically dependent [U, V_m] keeps every U column in its
+    grown QR, truncates its whitening to rank([U, V_m]), equals FOM over a
+    Householder basis of the span, and is charged the law of an independent
+    [U, V_m]: full Arnoldi, the QR of [U, V_m] once, and Q* b."""
+    c = Counters()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        approx, basis = rfom_step(A, b, U, m, INVSQRT, counters=c)
+    k = U.shape[1]
+    assert basis.k == k
+    assert approx.ell == np.linalg.matrix_rank(np.column_stack([U, basis.fac.V]))
+    Q = qr_econ(span).Q
+    want = fom_closed(Q, Q.conj().T @ A.to_dense() @ Q, b, INVSQRT).full_vector()
+    assert np.linalg.norm(approx.full_vector() - want) <= 1e-12 * np.linalg.norm(want)
+    n = k + m
+    assert c.snapshot()[1] == m * m + 3 * m + n * (n + 1) // 2 + n
+
+
 class TestRfomStep:
     def test_empty_u_reduces_to_fom(self):
         rng = np.random.default_rng(2)
@@ -147,10 +167,7 @@ class TestRfomStep:
         b = _random_complex(rng, 40)
         fac = arnoldi_build(A, b, 8)
         U = fac.V[:, :2]  # lies inside the Krylov space: dependent columns
-        with pytest.warns(UserWarning):
-            approx, basis = rfom_step(A, b, U, 8, INVSQRT)
-        assert basis.k < 2
-        assert np.all(np.isfinite(approx.full_vector()))
+        _assert_truncated_rfom(A, b, U, fac.V, 8)
 
     def test_dependent_columns_dropped_independent_kept(self):
         rng = np.random.default_rng(21)
@@ -160,23 +177,7 @@ class TestRfomStep:
         free = _random_complex(rng, 40)
         U = np.column_stack([fac.V[:, :2] @ _random_complex(rng, 2), free,
                              fac.V[:, 2]])
-        c = Counters()
-        with pytest.warns(UserWarning, match="dropping 2 numerically dependent"):
-            _, basis = rfom_step(A, b, U, 8, INVSQRT, counters=c)
-        assert basis.k == 1
-        # Q's first column is the surviving U column, normalized
-        Q = basis.Q
-        q0 = Q[:, 0]
-        assert abs(abs(np.vdot(q0, free)) - np.linalg.norm(free)) \
-            <= 1e-12 * np.linalg.norm(free)
-        # the drop changed the coordinates of the grown QR, which still
-        # factors what is left, and charged nothing past the no-drop law:
-        # full Arnoldi, the QR of [U, V_m] once, and Q* b over what is left
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-13
-        M = np.column_stack([free, fac.V])
-        assert np.linalg.norm(Q @ basis.R - M) <= 1e-13 * np.linalg.norm(M)
-        m, n = 8, 3 + 8
-        assert c.snapshot()[1] == m * m + 3 * m + n * (n + 1) // 2 + (1 + m)
+        _assert_truncated_rfom(A, b, U, np.column_stack([free, fac.V]), 8)
 
     def test_non_finite_approximant_raises(self):
         # exp(1000) overflows: matfun_apply judges f(G) c, not the basis
@@ -496,6 +497,8 @@ _NEST_A = _random_hpd(_NEST_RNG, _NEST_N)
 _NEST_B = _random_complex(_NEST_RNG, _NEST_N)
 _NEST_U = np.linalg.qr(_random_complex(_NEST_RNG, (_NEST_N, 3)))[0]
 _NEST_SKETCH = sketch_new(_NEST_N, _NEST_S, seed=6)
+# spans K_3(A, b): dependent on V_m for m >= 2, so rFOM truncates its whitening
+_NEST_U_DEP = arnoldi_build(_NEST_A, _NEST_B, 3).V @ _random_complex(_NEST_RNG, (3, 3))
 
 
 def _nest_basis(kind, k):
@@ -505,6 +508,8 @@ def _nest_basis(kind, k):
         return KrylovBasis()
     if kind == "augmented":
         return AugmentedBasis(_NEST_A, U)
+    if kind == "augmented_dependent":
+        return AugmentedBasis(_NEST_A, _NEST_U_DEP[:, :k])
     S = sketch_dense(_NEST_SKETCH)
     state = RecycleState(U=U, SU=S @ U, SAU=S @ (_NEST_A.to_dense() @ U),
                          matrix_epoch=0, k_target=k)
@@ -516,21 +521,24 @@ def _nest_columns(kind, basis):
     """(columns that must be kept bit for bit, S A Vhat, the estimator's W in ||W y||)."""
     if kind == "krylov":
         return {"V": basis.fac.V.copy()}, None, basis.fac.V.copy()
-    if kind == "augmented":
-        return {"Q": basis.Q.copy()}, None, basis.Q.copy()
+    if kind.startswith("augmented"):
+        return {"Q": basis.Q.copy(), "R": basis.R.copy()}, None, basis.Q.copy()
     # S Vhat is stored as its grown QR: Q and R only gain columns
     kept = {"Vhat": basis.Vhat.copy(), "Q": basis.qr.Q.copy(), "R": basis.R.copy()}
     return kept, basis.SAVhat.copy(), basis.SVhat.copy()
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(st.sampled_from(["krylov", "augmented", "sketched", "sketched_stab"]),
+@given(st.sampled_from(["krylov", "augmented", "augmented_dependent", "sketched",
+                        "sketched_stab"]),
        st.sampled_from([0, 3]), st.integers(2, 12), st.integers(1, 5))
 def test_extend_keeps_leading_columns(kind, k, m, d):
-    # every working basis only appends columns, so the stop test may compare
-    # the previous coefficients padded with zeros at the end
+    # every working basis only appends columns, also when U depends on V_m,
+    # so the stop test may compare the previous coefficients padded with
+    # zeros at the end
     assume(kind != "krylov" or k == 0)
-    mode = "full" if kind in ("krylov", "augmented") else MODE_TRUNCATED
+    assume(kind != "augmented_dependent" or k == 3)
+    mode = MODE_TRUNCATED if kind.startswith("sketched") else "full"
     basis = _nest_basis(kind, k)
     fac = arnoldi_build(_NEST_A, _NEST_B, m, mode=mode)
     basis.extend(fac)

@@ -187,25 +187,28 @@ class TestRunSequence:
     def test_chained_rfom_solves_every_problem(self):
         # b_(i+1) lies in span[U, V_m] of problem i, so [U, V_m] is
         # collectively near-dependent while every R diagonal passes; the
-        # condition estimate of R drops U columns before G is formed
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            recs = run_sequence(SequenceSpec(
-                function=exp_scaled(0.01), method="rfom", k=20, num_problems=3,
-                matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
-                rhs_rule="chain", t=2, timing_reps=1,
-                m=AdaptiveM(reltol=1e-9, d=10, m_max=300)))
+        # condition estimate of R switches G to the truncated SVD of R
+        spec = SequenceSpec(
+            function=exp_scaled(0.01), method="rfom", k=20, num_problems=3,
+            matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
+            rhs_rule="chain", t=2, timing_reps=1,
+            m=AdaptiveM(reltol=1e-9, d=10, m_max=300))
+        recs = run_sequence(spec)
         assert [r.error for r in recs] == [None] * 3
         assert all(r.relerr <= 1e-8 for r in recs)
-        # a drop changes the coordinates of the grown QR and orthogonalizes
-        # nothing again: no problem is charged more than its no-drop law,
-        # full Arnoldi (m^2 + 3m), the QR of [U, V_m] and Q* b at every step
+        assert any(r.ell_used is not None for r in recs)
+        # Q and R only grow, so the padded stop test is exact: rfom stops
+        # no later than fom
+        fom = run_sequence(dataclasses.replace(spec, method="fom"))
+        assert all(r.m_used <= f.m_used for r, f in zip(recs[1:], fom[1:]))
+        # each problem is charged exactly its law: full Arnoldi (m^2 + 3m),
+        # the QR of [U, V_m] once and Q* b at every step
         k = 0
         for r in recs:
             m, n = r.m_used, k + r.m_used
             law = m * m + 3 * m + n * (n + 1) // 2 + sum(
                 k + m_step for m_step in range(10, m + 1, 10))
-            assert r.inner_products <= law, (r.problem_index, r.inner_products, law)
+            assert r.inner_products == law, (r.problem_index, r.inner_products, law)
             k = min(20, n)
 
     @pytest.mark.parametrize("method", ["fom", "sfom", "rfom", "srfom_stab"])

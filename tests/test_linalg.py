@@ -259,26 +259,6 @@ def test_growing_qr_holds_at_most_nrows_columns():
         qr.append(M[:, 6:])
 
 
-def test_growing_qr_keep_changes_coordinates():
-    # keep factors what is left from the small R alone, charges nothing,
-    # and the kept QR grows on as before
-    rng = np.random.default_rng(5)
-    M, W = _random_complex(rng, (30, 8)), _random_complex(rng, (30, 3))
-    qr, counters = GrowingQR(30), Counters()
-    qr.append(M[:, :5], counters)
-    qr.append(M[:, 5:], counters)
-    charged = counters.snapshot()
-    Q_old, cols = qr.Q.copy(), [0, 2, 3, 6, 7]
-    Qp = qr.keep(cols)
-    assert counters.snapshot() == charged
-    assert np.linalg.norm(Q_old @ Qp - qr.Q) <= 1e-14 * np.sqrt(len(cols))
-    qr.append(W)
-    Q, R, kept = qr.Q, qr.R, np.column_stack([M[:, cols], W])
-    assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R).real >= 0)
-    assert np.linalg.norm(Q.conj().T @ Q - np.eye(8)) <= 1e-13
-    assert np.linalg.norm(Q @ R - kept) <= 1e-13 * np.linalg.norm(kept)
-
-
 def test_wide_sketched_basis_whitens_by_its_own_svd():
     # more columns than sketch rows: the rank check fails, and the truncated
     # SVD is that of SV itself
