@@ -1,6 +1,6 @@
-"""Dense decomposition kernels: block Gram-Schmidt, QR (one-shot and grown by
-appending columns), SVD, whitening of a sketched basis, eigendecomposition,
-partial Schur, LU solve.
+"""Dense decomposition kernels: block Gram-Schmidt, QR (one-shot by Householder
+or Cholesky, and grown by appending columns), SVD, whitening of a sketched
+basis, eigendecomposition, partial Schur, LU solve.
 
 All kernels work on complex128 arrays of moderate size (a few hundred rows or
 columns); they wrap LAPACK through numpy/scipy and enforce the deterministic
@@ -95,6 +95,39 @@ def qr_econ(M, counters=None):
     return EconQR(Q=Q, R=np.triu(R))
 
 
+# Cholesky QR keeps its R only when rcond(R) > CHOL_RCOND_MIN: kappa_1(R) < 10,
+# so Q = W R^{-1} loses about 1e2 eps of orthogonality (Yamamoto, Nakatsukasa,
+# Yanagisawa & Fukaya, ETNA 2015: the loss grows as eps kappa(W)^2).
+CHOL_RCOND_MIN = 0.1
+
+
+def chol_qr(W, counters=None):
+    """``qr_econ`` of a tall W by one Cholesky QR when W is well conditioned.
+
+    R is the upper Cholesky factor of the Gram W* W (one zherk), and
+    Q = W R^{-1} one right-side trsm into a new array; W is not changed.  A
+    Gram that is not positive definite, or an R with rcond(R) <=
+    CHOL_RCOND_MIN, falls back to ``qr_econ(W, counters)``.  Either way the
+    factorization is charged ``ncols*(ncols+1)/2`` inner products: the Gram
+    is those products.
+    """
+    W = _as_complex_matrix(W)
+    n = W.shape[1]
+    if not n or W.shape[0] < n:
+        return qr_econ(W, counters)
+    # the Gram reads W in place, whichever of W and W.T is column-major
+    G = (scipy.linalg.blas.zherk(1.0, W, trans=2) if W.flags.f_contiguous
+         else scipy.linalg.blas.zherk(1.0, W.T).conj())  # conj(W^T conj(W)) = W* W
+    R, info = scipy.linalg.lapack.zpotrf(G, clean=1)
+    if info or not rcond(R) > CHOL_RCOND_MIN:  # a NaN rcond falls back too
+        return qr_econ(W, counters)
+    # W R^{-1} into a column-major copy of W, the layout of GrowingQR's buffer
+    Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1)
+    if counters is not None:
+        counters.add_inner_products(n * (n + 1) // 2)
+    return EconQR(Q=Q, R=R)
+
+
 def svd_econ(M):
     """Economic SVD M = L @ diag(sigma) @ J*."""
     M = _as_complex_matrix(M)
@@ -121,17 +154,21 @@ class GrowingQR:
     """Q R = M for a tall M that grows by blocks of columns.
 
     append(W) orthogonalizes the new block against Q by ``cgs2``, takes the
-    ``qr_econ`` of what is left and appends both, so M is never factored
+    ``chol_qr`` of what is left and appends both, so M is never factored
     again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
     Q lives in a column-major buffer that grows geometrically: an append
     copies Q only when the buffer is full, and no room is taken ahead for
     columns that may never come.
 
-    The QR of an ill-conditioned block turns the rounding left along Q into
-    a loss of orthogonality of about eps * cond(block).  A block whose R has
-    an estimated 1-norm condition number (``rcond``, O(d^2) work) above
-    REORTH_COND is therefore projected and factored once more (block CGS2 of
-    Barlow & Smoktunowicz, Numer. Math. 2013), so Q stays orthonormal and
+    ``chol_qr`` factors a well-conditioned block by Cholesky QR, whose only
+    work on the long columns is two BLAS-3 calls (in place of Householder's
+    geqrf and ungqr), and any other block by ``qr_econ``.  The QR of an
+    ill-conditioned block turns the rounding left along Q into a loss of
+    orthogonality of about eps * cond(block).  A block whose R has an
+    estimated 1-norm condition number (``rcond``, O(d^2) work) above
+    REORTH_COND, which the Cholesky path never gives, is therefore projected
+    and factored once more by ``qr_econ`` (block CGS2 of Barlow &
+    Smoktunowicz, Numer. Math. 2013), so Q stays orthonormal and
     sigma(R) = sigma(M) to rounding even when M is numerically rank-deficient.
     M may have at most nrows columns.
     """
@@ -162,7 +199,7 @@ class GrowingQR:
             W, C = cgs2(self.Q, W)
             if counters is not None:
                 counters.add_inner_products(n * d)
-        qr = qr_econ(W, counters)
+        qr = chol_qr(W, counters)
         Qnew, Rnew = qr.Q, qr.R
         if n:
             if rcond(Rnew) * self.REORTH_COND <= 1.0:

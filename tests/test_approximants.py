@@ -39,7 +39,7 @@ from krec import (
     srfom_step,
 )
 from krec.driver import _check_stop
-from krec.linalg import GrowingQR, herm_mul, whiten_r
+from krec.linalg import GrowingQR, chol_qr, herm_mul, whiten_r
 from krec.matfun import matfun_apply
 
 ALL_F = (INVSQRT, INV, EXP)
@@ -354,11 +354,11 @@ class TestSrfomStep:
         SV = _isometric_sketch_columns(S, fac.V)
         s_next = sketch_apply(S, fac.v_next)
         # bit for bit along the basis's own route: one QR of S V_m (an append
-        # to an empty GrowingQR is one qr_econ), then
+        # to an empty GrowingQR is one chol_qr), then
         # Q* S A V_m = R H_m + h (Q* S v_next) e_m^T and Q* S b = ||b|| R e_1
         qr = GrowingQR(S.s)
         qr.append(SV)
-        np.testing.assert_array_equal(qr.R, qr_econ(SV).R)
+        np.testing.assert_array_equal(qr.R, chol_qr(SV).R)
         P = qr.R @ fac.square_h()
         P[:, -1] += fac.h_tail * herm_mul(qr.Q, s_next)
         w = whiten_r(qr.R, P)

@@ -400,15 +400,24 @@ class TestRecyclingUpdate:
             assert all(r.converged and r.relerr <= 1e-6 for r in recs), method
 
 
-def _count_factorizations(monkeypatch):
-    """Names and shapes of the matrices given to qr_econ and svd_econ."""
-    shapes = []
-    for name in ("qr_econ", "svd_econ"):
+def _count_factorizations(monkeypatch, nested=False):
+    """Names and shapes of the matrices given to chol_qr, qr_econ and svd_econ.
+
+    A ``chol_qr`` that falls back to ``qr_econ`` is one factorization of its
+    block: the nested ``qr_econ`` is recorded only if ``nested``.
+    """
+    shapes, depth = [], [0]
+    for name in ("chol_qr", "qr_econ", "svd_econ"):
         real = getattr(krec.linalg, name)
 
         def counted(M, *args, _real=real, _name=name, **kwargs):
-            shapes.append((_name, M.shape))
-            return _real(M, *args, **kwargs)
+            if nested or not depth[0]:
+                shapes.append((_name, M.shape))
+            depth[0] += 1
+            try:
+                return _real(M, *args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(krec.linalg, name, counted)
     return shapes
@@ -417,8 +426,9 @@ def _count_factorizations(monkeypatch):
 class TestSketchedQR:
     def test_srfom_factors_sketched_basis_once(self, monkeypatch):
         # the QR of S Vhat is grown: each adaptive step factors only its new
-        # sketched columns, the first step with S U, once, or twice when
-        # GrowingQR takes its second pass; nothing else is factored
+        # sketched columns, the first step with S U, once by chol_qr, or once
+        # more by qr_econ when GrowingQR takes its second pass; nothing else
+        # is factored
         appends, shapes = [], _count_factorizations(monkeypatch)
         real = krec.linalg.GrowingQR.append
 
@@ -438,15 +448,15 @@ class TestSketchedQR:
             want += [(80, (0 if i == 0 else 5) + 10)] + [(80, 10)] * (r.m_used // 10 - 1)
         assert [shape for shape, _ in appends] == want
         for shape, calls in appends:
-            assert calls in ([("qr_econ", shape)], [("qr_econ", shape)] * 2)
+            assert calls in ([("chol_qr", shape)], [("chol_qr", shape), ("qr_econ", shape)])
         assert sum(len(calls) for _, calls in appends) == len(shapes)
 
     @pytest.mark.parametrize("method, kind", [("srfom", "qr_econ"),
                                               ("srfom_stab", "svd_econ")])
     def test_one_whitening_per_step_none_in_recycle(self, monkeypatch, method, kind):
-        # per step one QR of the appended s-row columns, which finishes the
-        # whitening by QR; the one by SVD adds the SVD of the small R, and no
-        # SVD of an s-row matrix is taken
+        # per step one QR (chol_qr) of the appended s-row columns, which
+        # finishes the whitening by QR; the one by SVD adds the SVD of the
+        # small R, and no SVD of an s-row matrix is taken
         A = gen_hpd(N=120, seed=1)
         S, k, s = sketch_new(120, 80, 0), 4, 80
         rng = np.random.default_rng(0)
@@ -464,13 +474,34 @@ class TestSketchedQR:
                 basis.extend(fac)
                 basis.approximant(b, INVSQRT)
                 n = m + basis.k
-                want = [("qr_econ", (s, 10 + (basis.k if m == 10 else 0)))]
+                want = [("chol_qr", (s, 10 + (basis.k if m == 10 else 0)))]
                 if kind == "svd_econ":
                     want.append(("svd_econ", (n, n)))
                 assert shapes == want
             del shapes[:]
             state = basis.recycle(k)
             assert shapes == [] and state.k == k
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-8])
+def test_recycled_block_takes_cholesky_qr(monkeypatch, perturbation):
+    # U = Q X is orthonormal by construction, so every problem's first append
+    # (the recycled U) is factored by Cholesky QR, with no Householder
+    # fallback: rFOM's saving at large N rests on this
+    calls = _count_factorizations(monkeypatch, nested=True)
+    firsts = []
+    real = krec.approximants.AugmentedBasis.__init__
+
+    def init(basis, *args, **kwargs):
+        del calls[:]
+        real(basis, *args, **kwargs)
+        firsts.append((basis.k, list(calls)))
+
+    monkeypatch.setattr(krec.approximants.AugmentedBasis, "__init__", init)
+    recs = run_sequence(_spec(method="rfom", k=5, num_problems=4, perturbation=perturbation,
+                              m=AdaptiveM(reltol=1e-8, d=5, m_max=60)))
+    assert all(r.converged for r in recs)
+    assert firsts == [(0, [])] + [(5, [("chol_qr", (120, 5))])] * 3
 
 
 class TestSpecValidation:

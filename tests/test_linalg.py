@@ -15,7 +15,7 @@ from krec import (
     qr_econ,
     svd_econ,
 )
-from krec.linalg import GrowingQR, herm_mul, whiten, whiten_r
+from krec.linalg import CHOL_RCOND_MIN, GrowingQR, chol_qr, herm_mul, rcond, whiten, whiten_r
 
 _EPS = np.finfo(float).eps
 
@@ -57,6 +57,56 @@ class TestQrEcon:
     def test_wide_input_rejected(self):
         with pytest.raises(DimensionMismatchError):
             qr_econ(np.ones((2, 3), dtype=np.complex128))
+
+
+def _chol_cases():
+    """A well-conditioned tall block, one with an exactly dependent (zero)
+    column, whose Gram has a zero pivot, and one of condition 1e3, whose Gram
+    has a Cholesky factor R that fails the rcond gate."""
+    rng = np.random.default_rng(5)
+    W = _random_complex(rng, (200, 12))
+    dependent = W.copy()
+    dependent[:, 7] = 0
+    U = np.linalg.qr(_random_complex(rng, (200, 12)))[0]
+    V = np.linalg.qr(_random_complex(rng, (12, 12)))[0]
+    ill = (U * np.logspace(0, -3, 12)) @ V
+    return {"well": W, "dependent": dependent, "ill": ill}
+
+
+class TestCholQr:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_well_conditioned_matches_householder(self, order):
+        W = np.asarray(_chol_cases()["well"], order=order)
+        out, ref = chol_qr(W), qr_econ(W)
+        d = np.diagonal(out.R)
+        assert np.all(d.imag == 0) and np.all(d.real > 0)
+        assert np.array_equal(out.R, np.triu(out.R))
+        assert np.linalg.norm(out.R - ref.R) <= 1e-13 * np.linalg.norm(ref.R)
+        assert np.linalg.norm(out.Q - ref.Q) <= 1e-13 * np.sqrt(W.shape[1])
+        assert np.linalg.norm(out.Q.conj().T @ out.Q - np.eye(W.shape[1])) <= 1e-13
+        assert np.linalg.norm(out.Q @ out.R - W) <= 1e-13 * np.linalg.norm(W)
+
+    @pytest.mark.parametrize("case", ["dependent", "ill"])
+    def test_falls_back_to_householder_bit_for_bit(self, case):
+        W = _chol_cases()[case]
+        G = W.conj().T @ W
+        if case == "dependent":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(G)
+        else:
+            assert rcond(np.linalg.cholesky(G).conj().T) <= CHOL_RCOND_MIN
+        out, ref = chol_qr(W), qr_econ(W)
+        assert np.array_equal(out.Q, ref.Q) and np.array_equal(out.R, ref.R)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
+    def test_input_unchanged_and_charge(self, order, case):
+        W = np.asarray(_chol_cases()[case], order=order)
+        before, counters = W.copy(), Counters()
+        chol_qr(W, counters)
+        assert np.array_equal(W, before)
+        n = W.shape[1]
+        assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
 
 
 class TestSvdEcon:
@@ -312,7 +362,7 @@ def test_growing_qr_property(case):
     assert np.max(np.abs(np.linalg.svd(R, compute_uv=False) - sigma)) <= 10 * n * _EPS * sigma[0]
     if dups:
         return
-    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-13
     if s < n + 4:
         return
     # well conditioned: the whitenings of the grown R equal the one-shot
