@@ -1,8 +1,10 @@
 """Recycled and sketched Krylov methods for sequences of matrix functions.
 
 Closed-form FOM, recycled FOM (rFOM), sketched FOM, sketch-and-recycle FOM
-(srFOM) with truncated-SVD stabilization, GMRES-type variants, a sketched
-iterate-difference error estimator, and a benchmark driver/CLI.
+(srFOM) with truncated-SVD stabilization, GMRES-type variants, and a
+benchmark driver/CLI whose adaptive stop test compares successive iterates,
+||y - y_prev||_B / ||y||_B in the norm of the working basis (the sketched
+norm ||S Vhat y|| for the sketched methods).
 """
 
 from .approximants import (

@@ -23,7 +23,7 @@ from .linalg import (
 )
 from .matfun import matfun_apply
 from .recycle import RecycleState, propagate_AU, update_orthonormal, update_sketched
-from .sketch import sketch_apply, sketch_av_from_arnoldi
+from .sketch import sketch_apply
 from .sparse import csr_matvec
 
 _COND_LIMIT = 1e14      # condition estimate cutoff for sgmres_type
@@ -118,12 +118,34 @@ class _GrownBasis:
 
     is ``fac.image`` of R[:, k:] and Q* x_next: no work on long vectors past
     Q* x_next.  AugmentedBasis uses (M, X) = ([U, V_m], A [U, V_m]);
-    SketchedBasis their sketches.
+    SketchedBasis their sketches.  Both take M_U = U and X_U from a
+    ``RecycleState`` by the one rule of ``__init__``.
     """
 
-    def _start(self, nrows, XU):
-        self.k = XU.shape[1]
-        self.qr = GrowingQR(nrows)
+    def __init__(self, A, recycle, matrix_epoch, counters, S=None, inexact=False):
+        """Take U and its image X_U = A U (S A U for a sketch S) from the
+        recycling state; None is the empty state.
+
+        The state's cached X_U (its AU, or its SAU for a sketch) is reused on
+        the matrix epoch it was formed on, or on a stale one when inexact.
+        Otherwise the state's A U is dropped first, so that a stale A U does
+        not outlive the forming of the new one, and X_U is formed by one loop
+        over the columns of U, a matvec and then S: k matvecs, k sketches.
+        """
+        state = RecycleState.empty(A.nrows) if recycle is None else recycle
+        self.U, self.k = state.U, state.k
+        self.matrix_epoch, self.counters = matrix_epoch, counters
+        XU = state.AU if S is None else state.SAU
+        if XU is None or (state.matrix_epoch != matrix_epoch and not inexact):
+            XU = state.AU = None  # no reference to a stale A U while the new one is formed
+            # the layout sets how BLAS rounds products with X_U: A U column-major,
+            # S A U row-major
+            XU = (np.empty((A.nrows, self.k), dtype=np.complex128, order="F") if S is None
+                  else np.empty((S.s, self.k), dtype=np.complex128))
+            image = (lambda x: x) if S is None else (lambda x: sketch_apply(S, x, counters))
+            for j in range(self.k):
+                XU[:, j] = image(csr_matvec(A, self.U[:, j], counters))
+        self.qr = GrowingQR(XU.shape[0])
         self._XU = XU
         self._QXU = np.zeros((0, self.k), dtype=np.complex128)
 
@@ -145,13 +167,15 @@ class AugmentedBasis(_GrownBasis):
     """Orthonormal basis Q of the augmented space [U, V_m], grown with V_m.
 
     Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
-    U and A U enter once, A U at k matvecs unless a cached one is given.
-    Each extend() appends only the Krylov columns added since the previous
-    call to the grown QR (``linalg.GrowingQR``: block classical Gram-Schmidt
-    against Q run twice, then a QR of the new block).  Column j of [U, V_m]
-    is charged j+1 inner products, the cost a one-shot QR of [U, V_m] is
-    charged.  Q and R only grow, so the coefficients of successive
-    approximants, in Q coordinates, nest.
+    U and A U come from the recycling state and enter once, at construction;
+    A U costs k matvecs unless the state's A U was formed on this matrix
+    epoch (see ``_GrownBasis``).  Each extend() appends only the Krylov
+    columns added since the previous call to the grown QR
+    (``linalg.GrowingQR``: block classical Gram-Schmidt against Q run twice,
+    then a QR of the new block).  Column j of [U, V_m] is charged j+1 inner
+    products, the cost a one-shot QR of [U, V_m] is charged.  Q and R only
+    grow, so the coefficients of successive approximants, in Q coordinates,
+    nest.
 
     ``whitening`` (``linalg.whiten_r``, see ``_GrownBasis`` for P) holds
     G = Q* A Q = P R^{-1} while rcond(R) > _RCOND_MIN.  At or below it U is
@@ -160,23 +184,11 @@ class AugmentedBasis(_GrownBasis):
     dominant directions Q L of [U, V_m].
     """
 
-    def __init__(self, A, U=None, AU=None, counters=None, matrix_epoch=None):
-        N = A.nrows
-        U = (np.zeros((N, 0), dtype=np.complex128) if U is None
-             else np.asarray(U, dtype=np.complex128))
-        if AU is None:
-            AU = np.empty((N, U.shape[1]), dtype=np.complex128, order="F")
-            for j in range(U.shape[1]):
-                AU[:, j] = csr_matvec(A, U[:, j], counters)
-        AU = np.asarray(AU, dtype=np.complex128)
-        if AU.shape != U.shape:
-            raise DimensionMismatchError("AU must have the shape of U")
-        self.counters = counters
-        self.matrix_epoch = matrix_epoch
+    def __init__(self, A, recycle=None, matrix_epoch=None, counters=None):
+        super().__init__(A, recycle, matrix_epoch, counters)
         self.m = 0               # Krylov columns absorbed
         self.fac = self.whitening = None
-        self._start(N, AU)
-        self._append(U, counters)
+        self._append(self.U, counters)
 
     @property
     def Q(self):
@@ -213,7 +225,7 @@ class AugmentedBasis(_GrownBasis):
         Y = self.whitening.back(X)
         AU_new = propagate_AU(self._XU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,
-                            k_target=k, ritz_values=ritz)
+                            ritz_values=ritz)
 
 
 def rfom_step(A, b, U, m, f, AU=None, counters=None):
@@ -222,10 +234,16 @@ def rfom_step(A, b, U, m, f, AU=None, counters=None):
     Builds a fully orthogonalized Arnoldi factorization (m+1 matvecs), forms
     the orthonormal augmented basis of [U, V_m], and evaluates the closed-form
     approximant.  The k augmentation columns cost k matvecs unless a cached
-    AU is supplied, in which case no extra matvecs are performed.  Returns
-    the approximant and the AugmentedBasis.
+    AU is supplied, in which case no extra matvecs are performed.  U and AU
+    enter as a ``RecycleState``; returns the approximant and the
+    AugmentedBasis.
     """
-    basis = AugmentedBasis(A, U, AU, counters)
+    U = (np.zeros((A.nrows, 0), dtype=np.complex128) if U is None
+         else np.asarray(U, dtype=np.complex128))
+    AU = None if AU is None else np.asarray(AU, dtype=np.complex128)
+    if AU is not None and AU.shape != U.shape:
+        raise DimensionMismatchError("AU must have the shape of U")
+    basis = AugmentedBasis(A, RecycleState(U=U, AU=AU), counters=counters)
     basis.extend(arnoldi_build(A, b, m, mode="full", counters=counters))
     return basis.approximant(b, f), basis
 
@@ -257,37 +275,29 @@ class SketchedBasis(_GrownBasis):
     Each Krylov column is sketched once: extend() sketches only the columns
     added since the previous call, and the sketch of v_next, kept for the
     Arnoldi relation, is the sketch of the column v_next becomes.  S U and
-    S A U come from the recycling state; on a new matrix epoch S A U is
-    formed again at k matvecs and k sketches, unless the update is inexact.
+    S A U come from the recycling state, and S U enters with the first
+    Krylov block; S A U costs k matvecs and k sketches unless the state's
+    was formed on this matrix epoch or the update is inexact (see
+    ``_GrownBasis``).
 
     S Vhat = [S U, S V_m] = Q R is grown, not re-factored: each extend()
     appends only its new sketched columns (all of [S U, S V_m] on the first
     call) to a ``linalg.GrowingQR``, charged no inner products.  S A Vhat is
     never formed: Q* S A Vhat is P of ``_GrownBasis`` with x_next = S v_next,
     and ``linalg.whiten_r`` turns R and P into the whitening, by the rank-
-    checked R or, if stabilized, by the truncated SVD of the small R.  So
-    Q* S b = ||b|| R[:, k], and ||S Vhat y|| = ||R y||.  ``recycle`` reads the
-    whitening of the last approximant.  Vhat, SVhat = Q R and SAVhat are
-    formed only on request; the approximant keeps U and V_m apart.
+    checked R, or by the SVD of the small R cut at svdtol * sigma_1 when
+    svdtol is given (srFOM-stab).  So Q* S b = ||b|| R[:, k], and
+    ||S Vhat y|| = ||R y||.  ``recycle`` reads the whitening of the last
+    approximant.  Vhat, S Vhat and S A Vhat are formed only on request, by
+    ``images``; the approximant keeps U and V_m apart.
     """
 
     def __init__(self, A, S, recycle=None, matrix_epoch=None, counters=None,
-                 stabilized=False, svdtol=1e-14, inexact=False):
-        self.S, self.counters = S, counters
-        self.matrix_epoch = matrix_epoch
-        self.svdtol = svdtol if stabilized else None  # None: whiten by QR
+                 svdtol=None, inexact=False):
+        super().__init__(A, recycle, matrix_epoch, counters, S, inexact)
+        self.S, self.svdtol = S, svdtol  # svdtol None: whiten by QR
+        self.SU = recycle.SU if self.k else np.zeros((S.s, 0), dtype=np.complex128)
         self.fac = self.s_next = self.whitening = None
-        k = 0 if recycle is None else recycle.k
-        self.U, self.SU = None, np.zeros((S.s, 0), dtype=np.complex128)
-        self.SAU = self.SU
-        if k:
-            self.U, self.SU, self.SAU = recycle.U, recycle.SU, recycle.SAU
-            if recycle.matrix_epoch != matrix_epoch and not inexact:
-                AU = np.column_stack([csr_matvec(A, self.U[:, j], counters)
-                                      for j in range(k)])
-                self.SAU = np.column_stack([sketch_apply(S, AU[:, j], counters)
-                                            for j in range(k)])
-        self._start(S.s, self.SAU)
 
     def extend(self, fac):
         """Absorb the Krylov columns of fac not yet sketched and whiten.
@@ -309,19 +319,6 @@ class SketchedBasis(_GrownBasis):
         self.fac = fac
         self.whitening = whiten_r(self.R, self._project(fac, self.s_next), self.svdtol)
 
-    @property
-    def Vhat(self):
-        return np.column_stack([self.U, self.fac.V]) if self.k else self.fac.V
-
-    @property
-    def SVhat(self):
-        return self.qr.Q @ self.R
-
-    @property
-    def SAVhat(self):
-        return np.column_stack([self.SAU, sketch_av_from_arnoldi(
-            self.S, self.fac, self.qr.Q @ self.R[:, self.k:], self.s_next)])
-
     def approximant(self, b, f):
         """Sketched FOM approximant over the blocks [U, V_m]; S b = ||b|| S v_1,
         so Q* S b = ||b|| R[:, k]."""
@@ -337,7 +334,7 @@ class SketchedBasis(_GrownBasis):
         S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1]."""
         YU, YV = Y[:self.k], Y[self.k:]
         SVm = self.qr.Q @ self.R[:, self.k:]
-        SAV = self.fac.image(SVm, self.s_next, YV, self.SAU, YU)
+        SAV = self.fac.image(SVm, self.s_next, YV, self._XU, YU)
         V, SV = self.fac.V @ YV, SVm @ YV
         if self.k:
             V += self.U @ YU
@@ -349,8 +346,8 @@ class SketchedBasis(_GrownBasis):
         return update_sketched(self, k)
 
 
-def srfom_step(A, b, S, recycle, m, f, t=2, counters=None, stabilized=False,
-               svdtol=1e-14, matrix_epoch=None, inexact=False):
+def srfom_step(A, b, S, recycle, m, f, t=2, counters=None, svdtol=None,
+               matrix_epoch=None, inexact=False):
     """One sketch-and-recycle FOM step with a truncated Arnoldi basis.
 
     Returns the approximant and the SketchedBasis, which update_sketched
@@ -358,8 +355,7 @@ def srfom_step(A, b, S, recycle, m, f, t=2, counters=None, stabilized=False,
     again (see SketchedBasis).
     """
     b = np.asarray(b, dtype=np.complex128)
-    basis = SketchedBasis(A, S, recycle, matrix_epoch, counters, stabilized=stabilized,
-                          svdtol=svdtol, inexact=inexact)
+    basis = SketchedBasis(A, S, recycle, matrix_epoch, counters, svdtol, inexact)
     basis.extend(arnoldi_build(A, b, m, mode=MODE_TRUNCATED, t=t, counters=counters))
     return basis.approximant(b, f), basis
 

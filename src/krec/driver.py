@@ -264,13 +264,10 @@ def oracle_exact(A, b, f, cap=1500):
 def _new_basis(spec, A, S, recycle, epoch, counters):
     """The working basis of one problem, seeded with the recycling state."""
     if spec.uses_sketching:
-        return SketchedBasis(A, S, recycle, epoch, counters,
-                             stabilized=spec.method == "srfom_stab",
-                             svdtol=spec.svdtol, inexact=spec.inexact_srr)
+        svdtol = spec.svdtol if spec.method == "srfom_stab" else None
+        return SketchedBasis(A, S, recycle, epoch, counters, svdtol, spec.inexact_srr)
     if spec.uses_recycling:
-        if recycle.matrix_epoch != epoch:
-            recycle.AU = None  # stale; let it go before A U is formed again
-        return AugmentedBasis(A, recycle.U, recycle.AU, counters, matrix_epoch=epoch)
+        return AugmentedBasis(A, recycle, epoch, counters)
     return KrylovBasis(counters)
 
 
@@ -326,7 +323,7 @@ def _run_once(spec, A0):
     oracle = DenseOracle(f, cap=spec.oracle_cap)
     A = A0
     epoch = 0
-    recycle = RecycleState.empty(N, k_target=spec.k)
+    recycle = RecycleState.empty(N)
     b_next = None
     records = []
     for i in range(spec.num_problems):

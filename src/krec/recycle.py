@@ -23,7 +23,6 @@ class RecycleState:
     SAU: np.ndarray | None = None  # s x k cached sketch of A_epoch @ U
     AU: np.ndarray | None = None   # optional exact A_epoch @ U
     matrix_epoch: object = None
-    k_target: int = 0
     ritz_values: np.ndarray | None = None
 
     @property
@@ -31,8 +30,8 @@ class RecycleState:
         return self.U.shape[1]
 
     @classmethod
-    def empty(cls, N, k_target=0):
-        return cls(U=np.zeros((N, 0), dtype=np.complex128), k_target=k_target)
+    def empty(cls, N):
+        return cls(U=np.zeros((N, 0), dtype=np.complex128))
 
 
 def update_orthonormal(basis, G, k, L=None):
@@ -85,7 +84,7 @@ def _whitened_update(w, images, k, matrix_epoch):
     ps = partial_schur_closest_to_origin(w.G, k)
     U, SU, SAU = images(w.back(ps.X, orth=True))
     return RecycleState(U=U, SU=SU, SAU=SAU, matrix_epoch=matrix_epoch,
-                        k_target=k, ritz_values=np.diagonal(ps.T).copy())
+                        ritz_values=np.diagonal(ps.T).copy())
 
 
 def propagate_AU(prev_AU, fac, X_kry, X_aug):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import krec.approximants
 from krec import (
     EXP,
     INV,
@@ -41,6 +43,7 @@ from krec import (
 from krec.driver import _check_stop
 from krec.linalg import GrowingQR, chol_qr, herm_mul, whiten_r
 from krec.matfun import matfun_apply
+from krec.matrices import gen_neumann2d
 
 ALL_F = (INVSQRT, INV, EXP)
 
@@ -205,7 +208,7 @@ class TestAugmentedBasis:
         A, b = _block_diag_with_invariant_start(rng, n_inv, N)
         U, _ = np.linalg.qr(_random_complex(rng, (N, k)))
         c = Counters()
-        aug = AugmentedBasis(A, U, counters=c)
+        aug = AugmentedBasis(A, RecycleState(U=U), counters=c)
         assert c.snapshot()[0] == k
         fac = arnoldi_build(A, b, 10)
         aug.extend(fac)
@@ -232,7 +235,7 @@ class TestAugmentedBasis:
         A = _random_hpd(rng, 50)
         U, _ = np.linalg.qr(_random_complex(rng, (50, 3)))
         c = Counters()
-        AugmentedBasis(A, U, AU=A.to_dense() @ U, counters=c)
+        AugmentedBasis(A, RecycleState(U=U, AU=A.to_dense() @ U), counters=c)
         assert c.snapshot()[0] == 0
 
     def test_recycle_propagates_au(self):
@@ -240,7 +243,7 @@ class TestAugmentedBasis:
         A = _random_hpd(rng, 70)
         b = _random_complex(rng, 70)
         U, _ = np.linalg.qr(_random_complex(rng, (70, 3)))
-        aug = AugmentedBasis(A, U)
+        aug = AugmentedBasis(A, RecycleState(U=U))
         fac = arnoldi_build(A, b, 10)
         aug.extend(fac)
         aug.extend(arnoldi_extend(fac, A, 20))
@@ -507,14 +510,13 @@ def _nest_basis(kind, k):
     if kind == "krylov":
         return KrylovBasis()
     if kind == "augmented":
-        return AugmentedBasis(_NEST_A, U)
+        return AugmentedBasis(_NEST_A, RecycleState(U=U))
     if kind == "augmented_dependent":
-        return AugmentedBasis(_NEST_A, _NEST_U_DEP[:, :k])
+        return AugmentedBasis(_NEST_A, RecycleState(U=_NEST_U_DEP[:, :k]))
     S = sketch_dense(_NEST_SKETCH)
-    state = RecycleState(U=U, SU=S @ U, SAU=S @ (_NEST_A.to_dense() @ U),
-                         matrix_epoch=0, k_target=k)
+    state = RecycleState(U=U, SU=S @ U, SAU=S @ (_NEST_A.to_dense() @ U), matrix_epoch=0)
     return SketchedBasis(_NEST_A, _NEST_SKETCH, state, matrix_epoch=0,
-                         stabilized=kind == "sketched_stab")
+                         svdtol=1e-14 if kind == "sketched_stab" else None)
 
 
 def _nest_columns(kind, basis):
@@ -524,8 +526,8 @@ def _nest_columns(kind, basis):
     if kind.startswith("augmented"):
         return {"Q": basis.Q.copy(), "R": basis.R.copy()}, None, basis.Q.copy()
     # S Vhat is stored as its grown QR: Q and R only gain columns
-    kept = {"Vhat": basis.Vhat.copy(), "Q": basis.qr.Q.copy(), "R": basis.R.copy()}
-    return kept, basis.SAVhat.copy(), basis.SVhat.copy()
+    Vhat, SVhat, SAVhat = basis.images(np.eye(basis.k + basis.fac.m))
+    return {"Vhat": Vhat, "Q": basis.qr.Q.copy(), "R": basis.R.copy()}, SAVhat, SVhat
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -601,7 +603,7 @@ def test_sketched_basis_counter_law(case):
     Sd = sketch_dense(S)
     state = RecycleState(U=U, SU=Sd @ U, SAU=Sd @ (A.to_dense() @ U), matrix_epoch=0)
     c = Counters()
-    basis = SketchedBasis(A, S, state, int(new_epoch), c, stabilized=True, svdtol=1e-12)
+    basis = SketchedBasis(A, S, state, int(new_epoch), c, svdtol=1e-12)
     fac = _extend_in_splits(basis, A, b, cuts, MODE_TRUNCATED, c)
     arn = Counters()
     arnoldi_build(A, b, cuts[-1], mode=MODE_TRUNCATED, t=2, counters=arn)
@@ -617,8 +619,9 @@ def test_augmented_basis_counter_law(case):
     # matvecs unless A U is cached, however the build is split
     A, U, b, cuts, new_epoch = _split_setup(case)
     k = U.shape[1]
+    state = RecycleState(U=U, AU=A.to_dense() @ U, matrix_epoch=0)
     c = Counters()
-    basis = AugmentedBasis(A, U, None if new_epoch else A.to_dense() @ U, c)
+    basis = AugmentedBasis(A, state, int(new_epoch), c)
     fac = _extend_in_splits(basis, A, b, cuts, "full", c)
     arn = Counters()
     arnoldi_build(A, b, cuts[-1], mode="full", counters=arn)
@@ -626,6 +629,67 @@ def test_augmented_basis_counter_law(case):
     n = k + fac.m
     assert basis.k == k
     assert c.snapshot() == (mv + (k if new_epoch else 0), ip + n * (n + 1) // 2, sk)
+
+
+@pytest.mark.parametrize("method, epoch, inexact", [
+    ("rfom", 0, False), ("rfom", 1, False),
+    ("srfom", 0, False), ("srfom", 1, False), ("srfom", 1, True)])
+def test_cached_image_of_u_rule(method, epoch, inexact):
+    # the state's A U (S A U) was formed on epoch 0 with A_0: reused there,
+    # and on epoch 1 only when inexact; otherwise formed again with A_1 at k
+    # matvecs (and k sketches), and a stale A U leaves the state
+    rng = np.random.default_rng(40)
+    N, k = 40, 3
+    A0, A1 = _random_hpd(rng, N), _random_hpd(rng, N)
+    U = np.linalg.qr(_random_complex(rng, (N, k)))[0]
+    S = sketch_new(N, 32, seed=3)
+    Sd = sketch_dense(S)
+    state = RecycleState(U=U, SU=Sd @ U, AU=A0.to_dense() @ U,
+                         SAU=Sd @ (A0.to_dense() @ U), matrix_epoch=0)
+    A = A0 if epoch == 0 else A1
+    c = Counters()
+    if method == "rfom":
+        cached, want = state.AU, A.to_dense() @ U
+        basis = AugmentedBasis(A, state, epoch, c)
+    else:
+        cached, want = state.SAU, Sd @ (A.to_dense() @ U)
+        basis = SketchedBasis(A, S, state, epoch, c, inexact=inexact)
+    reused = epoch == 0 or inexact
+    extra = 0 if reused else k
+    assert (c.matvecs, c.sketches) == (extra, extra if method == "srfom" else 0)
+    if reused:
+        assert basis._XU is cached
+    else:
+        assert np.linalg.norm(basis._XU - want) <= 1e-12 * np.linalg.norm(want)
+    if method == "rfom":
+        assert (state.AU is None) == (epoch != 0)
+
+
+def test_stale_au_goes_before_the_new_one_is_formed(monkeypatch):
+    # the stale N x k A U and the new one are never held together: the
+    # traced peak up to the first matvec stays below one more such array
+    rng = np.random.default_rng(41)
+    A = gen_neumann2d(64)
+    N, k = A.nrows, 8
+    U = np.linalg.qr(_random_complex(rng, (N, k)))[0]
+    peaks = []
+    matvec = krec.approximants.csr_matvec
+
+    def first_peak(*args, **kwargs):
+        if not peaks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return matvec(*args, **kwargs)
+
+    monkeypatch.setattr(krec.approximants, "csr_matvec", first_peak)
+    tracemalloc.start()
+    try:
+        state = RecycleState(U=U, AU=_random_complex(rng, (N, k)), matrix_epoch=0)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        AugmentedBasis(A, state, 1)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] - start < N * k * 16 // 2
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -653,7 +717,7 @@ def test_sketched_breakdown_equals_fom(case):
     S = sketch_new(N, 1 << (N - 1).bit_length(), seed=2)
     Sd = sketch_dense(S)
     state = RecycleState(U=U, SU=Sd @ U, SAU=Sd @ dense @ U, matrix_epoch=0)
-    basis = SketchedBasis(A, S, state, 0, stabilized=stabilized, svdtol=1e-12)
+    basis = SketchedBasis(A, S, state, 0, svdtol=1e-12 if stabilized else None)
     # full Arnoldi, whose breakdown at r the single MGS pass of truncated
     # Arnoldi can miss by rounding; the sketched basis takes either
     fac = arnoldi_build(A, b, max(r - 1, 1), mode="full")

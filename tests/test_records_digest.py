@@ -1,0 +1,14 @@
+import importlib.util
+import os
+import re
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+_spec = importlib.util.spec_from_file_location(
+    "records_digest", os.path.join(os.path.dirname(HERE), "tools", "records_digest.py"))
+records_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(records_digest)
+
+
+def test_sequence_digest_line():
+    line = records_digest.sequence_digest("inv-neumann2d", "fom", 0)
+    assert re.fullmatch(r"inv-neumann2d fom seed=0 problems=10 [0-9a-f]{16}", line)

@@ -119,6 +119,11 @@ def _sketched_bundle(rng, A, b, S, m, epoch=0):
     return bundle
 
 
+def _stacked(bundle):
+    """(Vhat, S Vhat, S A Vhat) of a sketched basis as stacked arrays."""
+    return bundle.images(np.eye(bundle.k + bundle.fac.m))
+
+
 class TestUpdateSketched:
     def test_cached_reuse_sketch_count(self):
         rng = np.random.default_rng(5)
@@ -138,7 +143,7 @@ class TestUpdateSketched:
         S = sketch_new(60, 50, seed=2)
         bundle = _sketched_bundle(rng, A, _random_complex(rng, 60), S, 8)
         state = update_sketched(bundle, 8)
-        assert _subspace_angle(state.U, bundle.Vhat) <= 1e-8
+        assert _subspace_angle(state.U, _stacked(bundle)[0]) <= 1e-8
 
     def test_ritz_convergence_trend(self):
         rng = np.random.default_rng(7)
@@ -176,7 +181,7 @@ class TestUpdateSketchedStab:
         S = sketch_new(80, 60, seed=5)
         bundle = _sketched_bundle(rng, A, _random_complex(rng, 80), S, 12)
         a = update_sketched(bundle, 4)
-        b = update_sketched_stab(bundle.Vhat, bundle.SVhat, bundle.SAVhat, 4)
+        b = update_sketched_stab(*_stacked(bundle), 4)
         assert _subspace_angle(a.U, b.U) <= 1e-8
 
     def test_duplicated_column(self):
@@ -184,9 +189,7 @@ class TestUpdateSketchedStab:
         A = _random_hpd(rng, 60)
         S = sketch_new(60, 40, seed=6)
         bundle = _sketched_bundle(rng, A, _random_complex(rng, 60), S, 8)
-        Vhat = np.column_stack([bundle.Vhat, bundle.Vhat[:, 0]])
-        SVhat = np.column_stack([bundle.SVhat, bundle.SVhat[:, 0]])
-        SAVhat = np.column_stack([bundle.SAVhat, bundle.SAVhat[:, 0]])
+        Vhat, SVhat, SAVhat = (np.column_stack([M, M[:, 0]]) for M in _stacked(bundle))
         state = update_sketched_stab(Vhat, SVhat, SAVhat, 3)
         assert np.all(np.isfinite(state.U))
         sv = np.linalg.svd(state.U, compute_uv=False)
@@ -198,13 +201,11 @@ class TestUpdateSketchedStab:
         S = sketch_new(60, 40, seed=7)
         bundle = _sketched_bundle(rng, A, _random_complex(rng, 60), S, 8)
         a = update_sketched(bundle, 3)
-        b = update_sketched_stab(bundle.Vhat, bundle.SVhat, bundle.SAVhat, 3,
-                                 svdtol=0.0)
+        b = update_sketched_stab(*_stacked(bundle), 3, svdtol=0.0)
         assert _subspace_angle(a.U, b.U) <= 1e-8
 
     def test_k_capped_at_truncated_rank(self):
-        # S Vhat has rank 2: U takes both Ritz vectors of the order-2 G, and
-        # the k asked for stays on record
+        # S Vhat has rank 2: U takes both Ritz vectors of the order-2 G
         rng = np.random.default_rng(12)
         base = _random_complex(rng, (20, 2))
         SVhat = np.column_stack([base, base[:, 0], base[:, 1]])
@@ -213,7 +214,7 @@ class TestUpdateSketchedStab:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = update_sketched_stab(Vhat, SVhat, SAVhat, 3)
-        assert state.k == 2 and state.k_target == 3
+        assert state.k == 2
 
 
 class TestPropagateAU:
@@ -302,8 +303,8 @@ class TestUpdateInexact:
 
 
 def test_recycle_state_empty():
-    st = RecycleState.empty(50, k_target=7)
-    assert st.k == 0 and st.k_target == 7 and st.U.shape == (50, 0)
+    st = RecycleState.empty(50)
+    assert st.k == 0 and st.U.shape == (50, 0) and st.AU is None and st.SAU is None
 
 
 def test_update_paths_full_rank_invariant():
@@ -312,7 +313,7 @@ def test_update_paths_full_rank_invariant():
     S = sketch_new(80, 60, seed=11)
     bundle = _sketched_bundle(rng, A, _random_complex(rng, 80), S, 12)
     for state in (update_sketched(bundle, 5),
-                  update_sketched_stab(bundle.Vhat, bundle.SVhat, bundle.SAVhat, 5)):
+                  update_sketched_stab(*_stacked(bundle), 5)):
         sv = np.linalg.svd(state.U, compute_uv=False)
         assert sv[-1] >= 1e-10 * sv[0]
         norms = np.linalg.norm(state.U, axis=0)
@@ -326,15 +327,15 @@ def test_ritz_values_are_smallest_eigenvalues_of_approximant_G(method):
     rng = np.random.default_rng(21)
     A = _random_hpd(rng, 90)
     S = sketch_new(90, 70, seed=12)
-    state, k = RecycleState.empty(90, k_target=4), 4
+    state, k = RecycleState.empty(90), 4
     for _ in range(2):
         b = _random_complex(rng, 90)
         if method == "rfom":
-            basis = AugmentedBasis(A, state.U, state.AU, matrix_epoch=0)
+            basis = AugmentedBasis(A, state, 0)
             fac = arnoldi_build(A, b, 10)
         else:
-            basis = SketchedBasis(A, S, state, 0, stabilized=method == "srfom_stab",
-                                  svdtol=1e-12)
+            basis = SketchedBasis(A, S, state, 0,
+                                  svdtol=1e-12 if method == "srfom_stab" else None)
             fac = arnoldi_build(A, b, 10, mode=MODE_TRUNCATED)
         basis.extend(fac)
         basis.extend(arnoldi_extend(fac, A, 20))

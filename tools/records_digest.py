@@ -1,0 +1,52 @@
+"""Digest of the per-problem records of every benchmark sequence.
+
+Runs ``Workload.spec(method, seed)`` from ``seqbench/workloads.py`` for the
+four workload methods, the three workloads and seeds 0-2, and prints one
+line per sequence: workload, method, seed, the number of problems and a
+SHA-256 over each record's (m_used, matvecs, inner_products, sketches,
+converged, ell_used, error, repr(relerr), repr(estimate_final)).  Two trees
+that print the same lines produce the same records bit for bit, so a
+refactor that must not change behaviour is checked by running this script
+on both and comparing the output.  The adaptive stop test can flip on
+rounding, so run it with one BLAS thread:
+
+    OMP_NUM_THREADS=1 python tools/records_digest.py
+"""
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "seqbench")]
+
+from krec.driver import run_sequence  # noqa: E402
+from workloads import METHODS, WORKLOADS  # noqa: E402
+
+SEEDS = (0, 1, 2)
+
+
+def record_key(rec):
+    """The fields of a record that a behaviour-preserving change keeps, wall time aside."""
+    return (rec.m_used, rec.matvecs, rec.inner_products, rec.sketches, rec.converged,
+            rec.ell_used, rec.error, repr(rec.relerr), repr(rec.estimate_final))
+
+
+def sequence_digest(workload, method, seed):
+    """One output line: the sequence's name, its length and the digest of its records."""
+    records = run_sequence(WORKLOADS[workload].spec(method, seed))
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(repr(record_key(rec)).encode())
+    return f"{workload} {method} seed={seed} problems={len(records)} {digest.hexdigest()[:16]}"
+
+
+def main():
+    for workload in WORKLOADS:
+        for method in METHODS:
+            for seed in SEEDS:
+                print(sequence_digest(workload, method, seed), flush=True)
+
+
+if __name__ == "__main__":
+    main()
