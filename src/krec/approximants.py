@@ -72,36 +72,31 @@ class Approximant:
         return self._full
 
 
-def fom_closed(V, G, b, f, counters=None, L=None):
+def fom_closed(V, G, b, f):
     """FOM / Rayleigh-Ritz approximant V f(G) V* b for orthonormal V, G = V* A V.
 
-    With L (orthonormal columns): V L f(G) L* V* b for G = L* V* A V L, in V
-    coordinates, so the approximant's ell is L's width.
+    The one-shot reference form, which takes the N-length V* b.  The working
+    bases read their projection of b off their own factorization instead.
     """
     V = np.asarray(V)
-    b = np.asarray(b, dtype=np.complex128)
-    c = herm_mul(V, b)
-    if counters is not None:
-        counters.add_inner_products(V.shape[1])
-    if L is None:
-        return Approximant(coeffs=matfun_apply(f, G, c), basis=V)
-    return Approximant(coeffs=L @ matfun_apply(f, G, herm_mul(L, c)), basis=V,
-                       ell=L.shape[1])
+    c = herm_mul(V, np.asarray(b, dtype=np.complex128))
+    return Approximant(coeffs=matfun_apply(f, G, c), basis=V)
 
 
 class KrylovBasis:
     """The Krylov basis V_m alone, the working basis of FOM."""
 
-    def __init__(self, counters=None):
-        self.counters = counters
+    def __init__(self):
         self.fac = None
 
     def extend(self, fac):
         self.fac = fac
 
     def approximant(self, b, f):
-        """Closed-form FOM approximant V_m f(H_m) V_m* b."""
-        return fom_closed(self.fac.V, self.fac.square_h(), b, f, self.counters)
+        """Closed-form FOM approximant ||b|| V_m f(H_m) e_1: v_1 = b / ||b||, so
+        V_m* b = ||b|| e_1 and no product with b is taken."""
+        c = np.linalg.norm(b) * np.eye(1, self.fac.m)[0]
+        return Approximant(coeffs=matfun_apply(f, self.fac.square_h(), c), basis=self.fac.V)
 
     norm = staticmethod(np.linalg.norm)  # of V_m y, as V_m is orthonormal
 
@@ -175,7 +170,8 @@ class AugmentedBasis(_GrownBasis):
     then a QR of the new block).  Column j of [U, V_m] is charged j+1 inner
     products, the cost a one-shot QR of [U, V_m] is charged.  Q and R only
     grow, so the coefficients of successive approximants, in Q coordinates,
-    nest.
+    nest.  b = ||b|| v_1 is column k of [U, V_m], so Q* b = ||b|| R[:, k] is
+    read off R, as the sketched basis reads Q* S b.
 
     ``whitening`` (``linalg.whiten_r``, see ``_GrownBasis`` for P) holds
     G = Q* A Q = P R^{-1} while rcond(R) > _RCOND_MIN.  At or below it U is
@@ -209,8 +205,12 @@ class AugmentedBasis(_GrownBasis):
         self.whitening = whiten_r(self.R, self._project(fac, fac.v_next), svdtol)
 
     def approximant(self, b, f):
-        """Closed-form rFOM approximant Q L f(G) L* Q* b (L = I in the QR form)."""
-        return fom_closed(self.Q, self.G, b, f, self.counters, self.whitening.L)
+        """Closed-form rFOM approximant Q L f(G) L* z for z = Q* b = ||b|| R[:, k]
+        (L = I in the QR form), in Q coordinates; no product with b is taken."""
+        w = self.whitening
+        y = matfun_apply(f, w.G, w.forward(np.linalg.norm(b) * self.R[:, self.k]))
+        return Approximant(coeffs=y if w.L is None else w.L @ y, basis=self.Q,
+                           ell=None if w.L is None else w.L.shape[1])
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
 
@@ -354,7 +354,6 @@ def srfom_step(A, b, S, recycle, m, f, t=2, counters=None, svdtol=None,
     takes; m+1 sketches, plus k matvecs and k sketches when S A U is formed
     again (see SketchedBasis).
     """
-    b = np.asarray(b, dtype=np.complex128)
     basis = SketchedBasis(A, S, recycle, matrix_epoch, counters, svdtol, inexact)
     basis.extend(arnoldi_build(A, b, m, mode=MODE_TRUNCATED, t=t, counters=counters))
     return basis.approximant(b, f), basis
@@ -364,15 +363,12 @@ def gmres_type_closed(fac, b, f):
     """GMRES-type approximant from a fully orthogonalized Arnoldi factorization."""
     if fac.mode != "full":
         raise ValueError("gmres_type_closed requires a fully orthogonalized basis")
-    b = np.asarray(b, dtype=np.complex128)
     Hm = fac.square_h().copy()
     if fac.breakdown is None and fac.h_tail != 0:
         x = lu_solve(Hm.conj().T, np.eye(fac.m, dtype=np.complex128)[:, -1])
         Hm[:, -1] += abs(fac.h_tail) ** 2 * x
-    e1 = np.zeros(fac.m, dtype=np.complex128)
-    e1[0] = np.linalg.norm(b)
-    coeffs = matfun_apply(f, Hm, e1)
-    return Approximant(coeffs=coeffs, basis=fac.V)
+    c = np.linalg.norm(b) * np.eye(1, fac.m)[0]
+    return Approximant(coeffs=matfun_apply(f, Hm, c), basis=fac.V)
 
 
 def sgmres_type(SV, SW, Sb, Vhat, f):

@@ -268,7 +268,7 @@ def _new_basis(spec, A, S, recycle, epoch, counters):
         return SketchedBasis(A, S, recycle, epoch, counters, svdtol, spec.inexact_srr)
     if spec.uses_recycling:
         return AugmentedBasis(A, recycle, epoch, counters)
-    return KrylovBasis(counters)
+    return KrylovBasis()
 
 
 def _solve(spec, A, b, basis, counters, oracle):
@@ -345,9 +345,9 @@ def _run_once(spec, A0):
             approx, rec.converged, rec.estimate_final = _solve(
                 spec, A, b, basis, counters, oracle)
             rec.ell_used = approx.ell
-            if spec.uses_recycling and spec.k > 0:
-                # a failed subspace update must not void a finished solve:
-                # fall back to the previous recycling state
+            if spec.uses_recycling and spec.k > 0 and i + 1 < spec.num_problems:
+                # no problem reads the last one's update; a failed update must
+                # not void a finished solve: keep the previous recycling state
                 try:
                     recycle = basis.recycle(spec.k)
                 except KrecError as exc:

@@ -329,6 +329,19 @@ def test_wide_sketched_basis_whitens_by_its_own_svd():
     assert np.linalg.norm(z - pinv @ x) <= 1e-12 * np.linalg.norm(pinv @ x)
 
 
+def test_sketched_rank_test_ignores_rcond():
+    # unit diagonal, -1 above it: rcond 4.5e-14, below rFOM's 1e-12 switch,
+    # yet every |R_jj| is equal, so the QR form whitens it without raising
+    n = 40
+    R = (np.eye(n) - np.triu(np.ones((n, n)), 1)).astype(np.complex128)
+    assert rcond(R) < 1e-13
+    P = _random_complex(np.random.default_rng(5), (n, n))
+    w = whiten_r(R, P)
+    assert w.L is None and w.J is None and w.D is R
+    # G = P R^{-1} by a backward-stable triangular solve
+    assert np.linalg.norm(w.G @ R - P) <= 1e-13 * np.linalg.norm(w.G) * np.linalg.norm(R)
+
+
 @st.composite
 def _append_case(draw):
     """A random complex s x n M, the cuts it is appended at, and how many of its

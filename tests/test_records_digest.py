@@ -11,4 +11,5 @@ _spec.loader.exec_module(records_digest)
 
 def test_sequence_digest_line():
     line = records_digest.sequence_digest("inv-neumann2d", "fom", 0)
-    assert re.fullmatch(r"inv-neumann2d fom seed=0 problems=10 [0-9a-f]{16}", line)
+    assert re.fullmatch(r"inv-neumann2d fom seed=0 problems=10 mv=\d+ ip=\d+ sk=0 "
+                        r"work=[0-9a-f]{16} all=[0-9a-f]{16}", line)
