@@ -166,8 +166,9 @@ class AugmentedBasis(_GrownBasis):
     A U costs k matvecs unless the state's A U was formed on this matrix
     epoch (see ``_GrownBasis``).  Each extend() appends only the Krylov
     columns added since the previous call to the grown QR
-    (``linalg.GrowingQR``: block classical Gram-Schmidt against Q run twice,
-    then a QR of the new block).  Column j of [U, V_m] is charged j+1 inner
+    (``linalg.GrowingQR``: one block classical Gram-Schmidt pass against Q,
+    a QR of the new block, and a second pass only where the first
+    cancelled).  Column j of [U, V_m] is charged j+1 inner
     products, the cost a one-shot QR of [U, V_m] is charged.  Q and R only
     grow, so the coefficients of successive approximants, in Q coordinates,
     nest.  b = ||b|| v_1 is column k of [U, V_m], so Q* b = ||b|| R[:, k] is
@@ -214,16 +215,21 @@ class AugmentedBasis(_GrownBasis):
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
 
-    def recycle(self, k):
-        """Recycling state for the next problem, with U and A U, no matvecs.
+    def recycle(self, k, next_epoch=None):
+        """Recycling state for the problem on matrix epoch next_epoch (None: this
+        basis's matrix), with no matvecs.
 
         U_new = Q L X spans the min(k, ell) Ritz vectors of G closest to the
-        origin, and A U_new = A [U, V_m] J Sigma^{-1} X (A [U, V_m] R^{-1} X in
-        the QR form) comes from the cached A U and the Arnoldi relation.
+        origin.  On this basis's matrix epoch, A U_new = A [U, V_m] J Sigma^{-1} X
+        (A [U, V_m] R^{-1} X in the QR form) comes from the cached A U and the
+        Arnoldi relation.  On another epoch the next basis would drop it as
+        stale, so it is not formed: the state holds U alone.
         """
         U, ritz, X = update_orthonormal(self.Q, self.G, k, self.whitening.L)
-        Y = self.whitening.back(X)
-        AU_new = propagate_AU(self._XU, self.fac, Y[self.k:], Y[:self.k])
+        AU_new = None
+        if next_epoch is None or next_epoch == self.matrix_epoch:
+            Y = self.whitening.back(X)
+            AU_new = propagate_AU(self._XU, self.fac, Y[self.k:], Y[:self.k])
         return RecycleState(U=U, AU=AU_new, matrix_epoch=self.matrix_epoch,
                             ritz_values=ritz)
 
@@ -282,7 +288,8 @@ class SketchedBasis(_GrownBasis):
 
     S Vhat = [S U, S V_m] = Q R is grown, not re-factored: each extend()
     appends only its new sketched columns (all of [S U, S V_m] on the first
-    call) to a ``linalg.GrowingQR``, charged no inner products.  S A Vhat is
+    call) to a ``linalg.GrowingQR`` (one projection against Q, a second only
+    where the first cancelled), charged no inner products.  S A Vhat is
     never formed: Q* S A Vhat is P of ``_GrownBasis`` with x_next = S v_next,
     and ``linalg.whiten_r`` turns R and P into the whitening, by the rank-
     checked R, or by the SVD of the small R cut at svdtol * sigma_1 when
@@ -341,8 +348,11 @@ class SketchedBasis(_GrownBasis):
             SV += self.SU @ YU
         return V, SV, SAV
 
-    def recycle(self, k):
-        """Recycling state for the next problem by sketched Rayleigh-Ritz."""
+    def recycle(self, k, next_epoch=None):
+        """Recycling state for the next problem by sketched Rayleigh-Ritz.
+
+        S A U is formed whatever next_epoch is: it costs s-row products
+        only, and an inexact update reuses it on a new matrix."""
         return update_sketched(self, k)
 
 

@@ -271,6 +271,12 @@ def _new_basis(spec, A, S, recycle, epoch, counters):
     return KrylovBasis()
 
 
+def _matrix_epoch(spec, i):
+    """The matrix epoch of problem i: a perturbed sequence takes a new matrix at
+    every problem, an unperturbed one keeps A0."""
+    return i if spec.perturbation > 0 else 0
+
+
 def _solve(spec, A, b, basis, counters, oracle):
     """Fixed or adaptive solve of one problem: extend the basis, extract, test.
 
@@ -327,9 +333,9 @@ def _run_once(spec, A0):
     b_next = None
     records = []
     for i in range(spec.num_problems):
-        if i > 0 and spec.perturbation > 0:
+        if _matrix_epoch(spec, i) != epoch:
             A = perturb_sparsity_gaussian(A, spec.perturbation, int(pert_seeds[i]))
-            epoch = i
+            epoch = _matrix_epoch(spec, i)
         if spec.rhs_rule == "chain" and b_next is not None:
             b = b_next
         else:
@@ -349,7 +355,7 @@ def _run_once(spec, A0):
                 # no problem reads the last one's update; a failed update must
                 # not void a finished solve: keep the previous recycling state
                 try:
-                    recycle = basis.recycle(spec.k)
+                    recycle = basis.recycle(spec.k, _matrix_epoch(spec, i + 1))
                 except KrecError as exc:
                     warnings.warn(f"recycling update skipped: {exc}", stacklevel=2)
         except KrecError as exc:

@@ -404,11 +404,28 @@ def test_no_recycling_update_after_the_last_problem(monkeypatch, method):
     cls = (krec.approximants.SketchedBasis if method == "srfom"
            else krec.approximants.AugmentedBasis)
     calls, real = [], cls.recycle
-    monkeypatch.setattr(cls, "recycle", lambda basis, k: calls.append(k) or real(basis, k))
+    monkeypatch.setattr(cls, "recycle",
+                        lambda basis, k, epoch: calls.append(k) or real(basis, k, epoch))
     p, k = 3, 5
     recs = run_sequence(_spec(method=method, k=k, s=80, num_problems=p))
     assert len(recs) == p and all(r.converged for r in recs)
     assert calls == [k] * (p - 1)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-8])
+def test_recycled_au_formed_only_for_the_same_matrix(monkeypatch, perturbation):
+    # the next basis drops an A U formed on another matrix, so the update
+    # forms A U_new only when the next problem keeps the matrix
+    calls, real = [], krec.approximants.propagate_AU
+    monkeypatch.setattr(krec.approximants, "propagate_AU",
+                        lambda *args: calls.append(1) or real(*args))
+    p, k = 3, 5
+    recs = run_sequence(_spec(method="rfom", k=k, num_problems=p, perturbation=perturbation))
+    assert all(r.converged for r in recs)
+    assert len(calls) == (0 if perturbation else p - 1)
+    # A U costs k matvecs on each new matrix, none on the same one
+    extra = k if perturbation else 0
+    assert [r.matvecs - r.m_used - 1 for r in recs] == [0] + [extra] * (p - 1)
 
 
 def _count_factorizations(monkeypatch, nested=False):

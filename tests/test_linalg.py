@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,17 @@ from krec import (
     qr_econ,
     svd_econ,
 )
-from krec.linalg import CHOL_RCOND_MIN, GrowingQR, chol_qr, herm_mul, rcond, whiten, whiten_r
+import krec.linalg
+from krec.linalg import (
+    CHOL_RCOND_MIN,
+    GrowingQR,
+    chol_qr,
+    herm_mul,
+    project,
+    rcond,
+    whiten,
+    whiten_r,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -297,6 +308,75 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError) as err:
             lu_solve(M, np.ones(3, dtype=np.complex128))
         assert isinstance(err.value.pivot_index, int)
+
+
+class TestProjection:
+    # column-major complex128 blocks go to BLAS, vectors and any other layout
+    # to numpy; a Q with no columns is the first problem's empty U
+    @pytest.mark.parametrize("q_order", ["C", "F"])
+    @pytest.mark.parametrize("w_order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(60,), (60, 5), (60, 0)])
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_matches_dense_formula(self, q_order, w_order, shape, k):
+        rng = np.random.default_rng(31)
+        Q = np.asarray(np.linalg.qr(_random_complex(rng, (60, k)))[0], order=q_order)
+        W = np.asarray(_random_complex(rng, shape), order=w_order)
+        C_want = Q.conj().T @ W
+        W_want = W - Q @ C_want
+        tol = 1e-13 * np.linalg.norm(W)
+        assert herm_mul(Q, W).shape == C_want.shape
+        assert np.linalg.norm(herm_mul(Q, W) - C_want) <= tol
+        C = project(Q, W)
+        assert np.linalg.norm(C - C_want) <= tol
+        assert np.linalg.norm(W - W_want) <= tol
+
+    def test_column_major_block_updated_in_place(self, monkeypatch):
+        # a column slice of a column-major buffer, as GrowingQR projects: one
+        # zgemm forms C, a second updates W itself (beta = 1), and the buffer
+        # holds the result with its other columns untouched
+        rng = np.random.default_rng(32)
+        Q = np.asfortranarray(np.linalg.qr(_random_complex(rng, (80, 6)))[0])
+        buf = np.asfortranarray(_random_complex(rng, (80, 9)))
+        before = buf.copy()
+        W = buf[:, 2:7]
+        assert W.flags.f_contiguous
+        updates, real = [], scipy.linalg.blas.zgemm
+
+        def zgemm(*args, **kw):
+            updates.append(kw.get("c") is W)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(scipy.linalg.blas, "zgemm", zgemm)
+        C = project(Q, W)
+        assert updates == [False, True]
+        tol = 1e-13 * np.linalg.norm(before)
+        assert np.linalg.norm(buf[:, 2:7] - (before[:, 2:7] - Q @ C)) <= tol
+        assert np.linalg.norm(Q.conj().T @ buf[:, 2:7]) <= tol
+        assert np.array_equal(buf[:, :2], before[:, :2])
+        assert np.array_equal(buf[:, 7:], before[:, 7:])
+
+
+def test_growing_qr_second_pass_only_where_the_block_cancelled(monkeypatch):
+    rng = np.random.default_rng(33)
+    s = 300
+    qr = GrowingQR(s)
+    blocks = [_random_complex(rng, (s, 20))]
+    qr.append(blocks[0])
+    passes = []
+    real = krec.linalg.project
+    monkeypatch.setattr(krec.linalg, "project", lambda Q, W: passes.append(1) or real(Q, W))
+    # a random block keeps most of its norm and takes one pass; a block within
+    # 1e-6 of span(Q) is cancelled by the first pass and takes the second
+    near = qr.Q @ _random_complex(rng, (20, 10)) + 1e-6 * _random_complex(rng, (s, 10))
+    for block, want in ((_random_complex(rng, (s, 10)), 1), (near, 2)):
+        del passes[:]
+        blocks.append(block)
+        qr.append(block)
+        assert len(passes) == want
+        M = np.hstack(blocks)
+        n = M.shape[1]
+        assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(qr.Q @ qr.R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
 
 
 def test_growing_qr_holds_at_most_nrows_columns():
