@@ -200,8 +200,9 @@ class AugmentedBasis(_GrownBasis):
 
         fac must extend the factorization of the previous call.
         """
-        self._append(fac.V[:, self.m:], self.counters)
-        self.m, self.fac = fac.m, fac
+        # the previous fac goes first: its V may be a view of a buffer fac grew out of
+        m_old, self.m, self.fac = self.m, fac.m, fac
+        self._append(fac.V[:, m_old:], self.counters)
         svdtol = None if rcond(self.R) > _RCOND_MIN else _SVDTOL
         self.whitening = whiten_r(self.R, self._project(fac, fac.v_next), svdtol)
 

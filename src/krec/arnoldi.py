@@ -5,6 +5,16 @@ vector v_next, and a cached w_next = A @ v_next used to continue the
 recurrence when the factorization is extended.  Computing w_next eagerly is
 why a build of cycle length m costs exactly m+1 matvecs.
 
+V is a view of the first m columns of a ``linalg.ColumnBuffer``, which
+grows geometrically and records how many columns it holds.  An extension
+writes its columns into the buffer in place when the buffer holds exactly
+fac.m columns, that is when fac is the last factorization grown from it:
+fac.V stays a valid view and nothing is copied, and a buffer that is full
+moves to one of twice the capacity.  Otherwise another extension of fac
+(to another m, or with another matrix) has already written past fac.m, and
+the extension copies fac.V into a new buffer, so that it never overwrites
+the columns of a sibling.
+
 Full mode orthogonalizes A v_j against all of V by block classical
 Gram-Schmidt run twice (``linalg.cgs2``: two matrix-vector products per
 pass, no loop over columns).  Truncated mode orthogonalizes against the last
@@ -20,12 +30,12 @@ breakdown.  The norm used only for breakdown detection and the initial
 normalization of b are not counted.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import cgs2
+from .linalg import ColumnBuffer, cgs2
 from .sparse import csr_matvec
 
 _BREAKDOWN_TOL = 1e-14
@@ -44,6 +54,7 @@ class ArnoldiFactorization:
     mode: str            # MODE_FULL or MODE_TRUNCATED
     t: int               # truncation window (ignored in full mode)
     breakdown: int | None = None  # 1-based step of lucky breakdown
+    buf: ColumnBuffer | None = field(default=None, repr=False)  # V = buf.data[:, :m]
 
     @property
     def m(self):
@@ -129,22 +140,31 @@ def arnoldi_build(A, b, m, mode=MODE_FULL, t=2, counters=None):
 
 
 def arnoldi_extend(fac, A, m_new, counters=None):
-    """Extend a factorization to cycle length m_new (no-op at or below m)."""
+    """Extend a factorization to cycle length m_new (no-op at or below m).
+
+    The new columns go into fac's buffer in place while it holds fac.m
+    columns, else into a new buffer (see the module docstring); fac is left
+    as it was either way.
+    """
     if fac.breakdown is not None or m_new <= fac.m:
         if m_new < fac.m and fac.breakdown is None:
             raise ValueError("cannot shrink a factorization")
         return fac
     m_old = fac.m
-    N = fac.V.shape[0]
-    V = np.empty((N, m_new), dtype=np.complex128, order="F")
-    V[:, :m_old] = fac.V
+    buf = fac.buf
+    if buf is None or buf.n != m_old:  # another extension of fac wrote past its columns
+        buf = ColumnBuffer(fac.V.shape[0])
+        buf.reserve(m_new)[:, :m_old] = fac.V
+        buf.n = m_old
+    V = buf.reserve(m_new)
     V[:, m_old] = fac.v_next
     H = np.zeros((m_new + 1, m_new), dtype=np.complex128)
     H[: m_old + 1, :m_old] = fac.H
     v_next, w_next, breakdown = _advance(A, V, H, m_old, m_new, fac.mode, fac.t,
                                          counters, fac.w_next)
     if breakdown is not None:
-        j = breakdown
-        return replace(fac, V=V[:, :j].copy(order="F"), H=H[: j + 1, :j].copy(),
-                       v_next=None, w_next=None, breakdown=j)
-    return replace(fac, V=V, H=H, v_next=v_next, w_next=w_next)
+        buf.n = j = breakdown
+        return replace(fac, V=V[:, :j], H=H[: j + 1, :j].copy(),
+                       v_next=None, w_next=None, breakdown=j, buf=buf)
+    buf.n = m_new
+    return replace(fac, V=V[:, :m_new], H=H, v_next=v_next, w_next=w_next, buf=buf)

@@ -130,15 +130,19 @@ def qr_econ(M, counters=None):
 CHOL_RCOND_MIN = 0.1
 
 
-def chol_qr(W, counters=None):
+def chol_qr(W, counters=None, out=None):
     """``qr_econ`` of a tall W by one Cholesky QR when W is well conditioned.
 
     R is the upper Cholesky factor of the Gram W* W (one zherk), and
-    Q = W R^{-1} one right-side trsm into a new array; W is not changed.  A
-    Gram that is not positive definite, or an R with rcond(R) <=
-    CHOL_RCOND_MIN, falls back to ``qr_econ(W, counters)``.  Either way the
-    factorization is charged ``ncols*(ncols+1)/2`` inner products: the Gram
-    is those products.
+    Q = W R^{-1} one right-side trsm into a column-major copy of W, the
+    layout of ``GrowingQR``'s buffer; W is not changed.  With out, a
+    column-major complex128 block of W's shape (W itself, or a slot of a
+    buffer), the trsm runs in place on out: out is overwritten with W and
+    then with Q, and Q is out.  A Gram that is not positive definite, or an
+    R with rcond(R) <= CHOL_RCOND_MIN, falls back to ``qr_econ(W,
+    counters)``, whose Q is a new array and leaves out alone.  Either way
+    the factorization is charged ``ncols*(ncols+1)/2`` inner products: the
+    Gram is those products.
     """
     W = _as_complex_matrix(W)
     n = W.shape[1]
@@ -150,8 +154,12 @@ def chol_qr(W, counters=None):
     R, info = scipy.linalg.lapack.zpotrf(G, clean=1)
     if info or not rcond(R) > CHOL_RCOND_MIN:  # a NaN rcond falls back too
         return qr_econ(W, counters)
-    # W R^{-1} into a column-major copy of W, the layout of GrowingQR's buffer
-    Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1)
+    if out is None:
+        Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1)
+    else:
+        if out is not W:
+            out[...] = W
+        Q = scipy.linalg.blas.ztrsm(1.0, R, out, side=1, overwrite_b=1)
     if counters is not None:
         counters.add_inner_products(n * (n + 1) // 2)
     return EconQR(Q=Q, R=R)
@@ -179,15 +187,41 @@ def svd_truncated(M, svdtol):
     return dec.L[:, :ell], dec.sigma[:ell], dec.J[:, :ell]
 
 
+class ColumnBuffer:
+    """The columns of a tall matrix in a column-major buffer that grows geometrically.
+
+    The first n columns of ``data`` are in use.  ``reserve(ncols)`` makes
+    room for ncols columns: a full buffer moves its n columns to a new one
+    of max(ncols, 2 * capacity) columns, so that a matrix grown by blocks is
+    copied O(1) times per column, and no room is taken ahead for columns
+    that may never come.  Views of the old buffer stay valid.
+    """
+
+    def __init__(self, nrows):
+        self.n = 0
+        self.data = np.empty((nrows, 0), dtype=np.complex128, order="F")
+
+    def reserve(self, ncols):
+        """Make room for ncols columns; returns ``data``."""
+        if ncols > self.data.shape[1]:
+            data = np.empty((self.data.shape[0], max(ncols, 2 * self.data.shape[1])),
+                            dtype=np.complex128, order="F")
+            data[:, :self.n] = self.data[:, :self.n]
+            self.data = data
+        return self.data
+
+
 class GrowingQR:
     """Q R = M for a tall M that grows by blocks of columns.
 
     append(W) projects the new block against Q once (``project``), takes the
     ``chol_qr`` of what is left and appends both, so M is never factored
     again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
-    Q lives in a column-major buffer that grows geometrically: an append
-    copies Q only when the buffer is full, and no room is taken ahead for
-    columns that may never come.
+    Q lives in a ``ColumnBuffer``, and each block is written straight into
+    its slot there: W is copied into the slot, projected in place and
+    turned into Q_new by ``chol_qr``'s trsm on the slot, so an append forms
+    no temporary of the height of Q.  A Householder fallback or a second
+    pass writes its Q_new back into the slot.
 
     ``chol_qr`` factors a well-conditioned block by Cholesky QR, whose only
     work on the long columns is two BLAS-3 calls (in place of Householder's
@@ -208,32 +242,38 @@ class GrowingQR:
     REORTH_COND = 100.0
 
     def __init__(self, nrows):
-        self.n = 0
         self.R = np.zeros((0, 0), dtype=np.complex128)
-        self._buf = np.empty((nrows, 0), dtype=np.complex128, order="F")
+        self._cols = ColumnBuffer(nrows)
+
+    @property
+    def n(self):
+        return self._cols.n
 
     @property
     def Q(self):
-        return self._buf[:, :self.n]
+        return self._cols.data[:, :self.n]
 
     def append(self, W, counters=None):
-        """Append the columns of W to M; returns their columns of Q.
+        """Append the columns of W to M; returns their columns of Q, a view
+        of the buffer.
 
         With a counter, column j of M is charged j+1 inner products, the cost
         of a one-shot QR of M: n*d for the projection and d(d+1)/2 for the
         QR.  The second pass is not charged.
         """
         n, d = self.n, W.shape[1]
-        if n + d > self._buf.shape[0]:
+        if n + d > self._cols.data.shape[0]:
             raise DimensionMismatchError("GrowingQR holds at most nrows columns")
+        slot = self._cols.reserve(n + d)[:, n:n + d]
         C = np.zeros((0, d), dtype=np.complex128)
         if n:
-            # projected in place, and column-major for chol_qr's BLAS calls
-            W = np.array(W, dtype=np.complex128, order="F")
+            # projected in its slot, column-major for chol_qr's BLAS calls
+            slot[...] = W
+            W = slot
             C = project(self.Q, W)
             if counters is not None:
                 counters.add_inner_products(n * d)
-        qr = chol_qr(W, counters)
+        qr = chol_qr(W, counters, out=slot)  # copies a first block into the slot itself
         Qnew, Rnew = qr.Q, qr.R
         if n and d:
             # ||W|| is the largest column norm of W = Q C + Q_new R_new, and
@@ -244,18 +284,14 @@ class GrowingQR:
                 C2 = project(self.Q, Qnew)
                 qr = qr_econ(Qnew)
                 Qnew, C, Rnew = qr.Q, C + C2 @ Rnew, qr.R @ Rnew
-        if n + d > self._buf.shape[1]:
-            buf = np.empty((self._buf.shape[0], max(n + d, 2 * self._buf.shape[1])),
-                           dtype=np.complex128, order="F")
-            buf[:, :n] = self._buf[:, :n]
-            self._buf = buf
-        self._buf[:, n:n + d] = Qnew
+        if Qnew is not slot:
+            slot[...] = Qnew
         R = np.zeros((n + d, n + d), dtype=np.complex128)
         R[:n, :n] = self.R
         R[:n, n:] = C
         R[n:, n:] = Rnew
-        self.R, self.n = R, n + d
-        return self._buf[:, n:n + d]
+        self.R, self._cols.n = R, n + d
+        return slot
 
 
 def rcond(R):

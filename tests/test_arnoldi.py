@@ -117,6 +117,57 @@ def test_extend_past_breakdown():
     assert arnoldi_extend(fac, A, 10) is fac
 
 
+def _snapshot(fac):
+    return fac.V.copy(), fac.H.copy(), fac.v_next.copy()
+
+
+def _unchanged(fac, snapshot):
+    return all(np.array_equal(got, want)
+               for got, want in zip((fac.V, fac.H, fac.v_next), snapshot))
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_TRUNCATED])
+def test_extension_that_fits_is_written_in_place(mode):
+    rng = np.random.default_rng(7)
+    A = _random_sparse(rng, 80)
+    b = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    # 10 columns fill the build's buffer; the extension to 12 doubles it to 20
+    fac = arnoldi_extend(arnoldi_build(A, b, 10, mode=mode), A, 12)
+    before = _snapshot(fac)
+    child = arnoldi_extend(fac, A, 20)
+    assert np.shares_memory(child.V, fac.V)
+    assert _unchanged(fac, before)
+    assert np.array_equal(child.V[:, :12], fac.V)
+    rebuilt = arnoldi_build(A, b, 20, mode=mode)
+    assert np.linalg.norm(child.V - rebuilt.V) <= 1e-12
+    assert np.linalg.norm(child.H - rebuilt.H) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_TRUNCATED])
+def test_second_extension_of_a_parent_leaves_the_first_child(mode):
+    rng = np.random.default_rng(8)
+    A, B = _random_sparse(rng, 80), _random_sparse(rng, 80)
+    b = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    fac = arnoldi_extend(arnoldi_build(A, b, 10, mode=mode), A, 12)
+    parent = _snapshot(fac)
+    first = arnoldi_extend(fac, A, 16)
+    assert np.shares_memory(first.V, fac.V)
+    child = _snapshot(first)
+    # the buffer holds the first child's 16 columns, so these copy fac.V
+    second = arnoldi_extend(fac, A, 20)
+    other = arnoldi_extend(fac, B, 18)
+    for sibling in (second, other):
+        assert not np.shares_memory(sibling.V, first.V)
+        assert np.array_equal(sibling.V[:, :12], fac.V)
+    assert _unchanged(fac, parent) and _unchanged(first, child)
+    bound = 30 * np.sqrt(20) * _EPS * np.linalg.norm(A.to_dense(), 2)
+    assert _arnoldi_residual(A, first) <= bound and _arnoldi_residual(A, second) <= bound
+    # the first child is still the last writer of its buffer
+    grandchild = arnoldi_extend(first, A, 20)
+    assert np.shares_memory(grandchild.V, first.V)
+    assert np.linalg.norm(grandchild.V - second.V) <= 1e-12
+
+
 def test_shrink_rejected():
     rng = np.random.default_rng(5)
     A = _random_sparse(rng, 30)
@@ -221,13 +272,17 @@ def test_split_extension_charged_as_one_build(case, data):
     A = CSRMatrix.from_dense(dense)
     cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=4)) if m > 1 else ())
     split = Counters()
-    fac = arnoldi_build(A, b, (cuts + [m])[0], mode=mode, t=t, counters=split)
+    facs = [arnoldi_build(A, b, (cuts + [m])[0], mode=mode, t=t, counters=split)]
     for m_next in cuts[1:] + [m]:
-        fac = arnoldi_extend(fac, A, m_next, counters=split)
+        facs.append(arnoldi_extend(facs[-1], A, m_next, counters=split))
+    fac = facs[-1]
     one = Counters()
     whole = arnoldi_build(A, b, m, mode=mode, t=t, counters=one)
     assert split.snapshot() == one.snapshot()
     assert fac.m == whole.m and fac.breakdown == whole.breakdown
+    # the later extensions wrote in place past every earlier factorization
+    bound = 30 * np.sqrt(fac.m) * _EPS * np.linalg.norm(dense, 2)
+    assert all(_arnoldi_residual(A, f) <= bound for f in facs)
     if whole.breakdown is None:
         assert one.snapshot() == (m + 1, _counter_law(m, mode, t), 0)
 

@@ -120,6 +120,32 @@ class TestCholQr:
         assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
 
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
+    def test_out_takes_q_in_place(self, order, case):
+        # out is a slot of a wider buffer, as in GrowingQR: the Cholesky path
+        # writes Q there, the Householder fallback leaves it alone
+        W = np.asarray(_chol_cases()[case], order=order)
+        before, n = W.copy(), W.shape[1]
+        buf = np.zeros((W.shape[0], n + 3), dtype=np.complex128, order="F")
+        out = buf[:, 1:1 + n]
+        got, want = chol_qr(W, out=out), chol_qr(W)
+        assert np.array_equal(W, before)
+        assert np.array_equal(got.Q, want.Q) and np.array_equal(got.R, want.R)
+        if case == "well":
+            assert got.Q is out
+            assert not np.any(buf[:, 0]) and not np.any(buf[:, 1 + n:])
+        else:
+            assert not np.any(buf)
+
+    def test_out_may_be_w(self):
+        W = np.asfortranarray(_chol_cases()["well"])
+        want = chol_qr(W)
+        got = chol_qr(W, out=W)
+        assert got.Q is W
+        assert np.array_equal(W, want.Q) and np.array_equal(got.R, want.R)
+
+
 class TestSvdEcon:
     def test_diagonal(self):
         out = svd_econ(np.diag([3.0, 1.0]).astype(np.complex128))
@@ -377,6 +403,37 @@ def test_growing_qr_second_pass_only_where_the_block_cancelled(monkeypatch):
         n = M.shape[1]
         assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(n)) <= 1e-13
         assert np.linalg.norm(qr.Q @ qr.R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
+
+
+@pytest.mark.parametrize("path", ["cholesky", "fallback", "second pass"])
+def test_growing_qr_writes_each_block_into_its_buffer(monkeypatch, path):
+    # the appended block is projected and factored in its slot of the
+    # buffer, whichever path its QR takes; the block returned is that slot
+    rng = np.random.default_rng(34)
+    s = 200
+    calls = []
+    for name in ("project", "qr_econ"):
+        real = getattr(krec.linalg, name)
+        monkeypatch.setattr(krec.linalg, name,
+                            lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    qr = GrowingQR(s)
+    # an ill-conditioned first block fails the Cholesky gate
+    M = _chol_cases()["ill"] if path == "fallback" else _random_complex(rng, (s, 12))
+    out = qr.append(M)
+    if path != "fallback":
+        # a block within 1e-6 of range(Q) is cancelled by the first pass
+        block = (qr.Q @ _random_complex(rng, (12, 8)) + 1e-6 * _random_complex(rng, (s, 8))
+                 if path == "second pass" else _random_complex(rng, (s, 8)))
+        del calls[:]
+        out = qr.append(block)
+        M = np.hstack([M, block])
+    assert calls == {"cholesky": ["project"], "fallback": ["qr_econ"],
+                     "second pass": ["project", "project", "qr_econ"]}[path]
+    n, d = M.shape[1], out.shape[1]
+    assert np.shares_memory(out, qr.Q) and np.array_equal(out, qr.Q[:, n - d:])
+    assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(qr.Q @ qr.R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
 
 
 def test_growing_qr_holds_at_most_nrows_columns():
