@@ -13,4 +13,4 @@ def test_method_line():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     out = out.stdout
-    assert re.fullmatch(r"invsqrt-twocluster fom seed=0 peak_mb=\d+\.\d m_used=\d+\n", out)
+    assert re.fullmatch(r"invsqrt-twocluster fom peak_mb=\d+\.\d m_used=\d+\n", out)
