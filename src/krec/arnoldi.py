@@ -15,19 +15,23 @@ moves to one of twice the capacity.  Otherwise another extension of fac
 the extension copies fac.V into a new buffer, so that it never overwrites
 the columns of a sibling.
 
-Full mode orthogonalizes A v_j against all of V by block classical
-Gram-Schmidt run twice (``linalg.cgs2``: two matrix-vector products per
-pass, no loop over columns).  Truncated mode orthogonalizes against the last
-t columns only, by modified Gram-Schmidt over that window.
+Both modes run one loop.  Step j orthogonalizes w = A v_j against a
+window of V, columns lo..j with lo = 0 in full mode and lo = max(0, j+1-t)
+in truncated mode, by block classical Gram-Schmidt: each pass is one
+``linalg.project`` (two matrix-vector products, no loop over columns) that
+updates w in place and adds its coefficients to H[lo:j+1, j].  Full mode
+always takes a second pass ("twice is enough": Giraud, Langou & Rozložník,
+Comput. Math. Appl. 2005).  Truncated mode takes it only when the first
+pass leaves less than 1e-8 of ||A v_j||, so rounding cannot hide a lucky
+breakdown.  A cached w_next is copied once before it is projected in
+place, because another extension of the same factorization reads it too.
 
-Inner-product accounting (see counters.py): in full mode, step j (1-based)
-is charged j projection coefficients and one norm per pass, with one
-unconditional reorthogonalization pass, so 2*(j+1) inner products per step
-and m^2 + 3m for a build of length m.  In truncated mode step j costs
-min(j, t) + 1 inner products, twice if its one pass leaves less than 1e-8
-of A v_j: the pass is then repeated, so rounding cannot hide a lucky
-breakdown.  The norm used only for breakdown detection and the initial
-normalization of b are not counted.
+Inner-product accounting (see counters.py): each pass of step j (1-based)
+is charged its j+1-lo projection coefficients and one norm.  Full mode
+thus costs 2*(j+1) inner products per step and m^2 + 3m for a build of
+length m; truncated mode costs min(j, t) + 1 per step, twice for a step
+that repeats its pass.  The norm used only for breakdown detection and the
+initial normalization of b are not counted.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import ColumnBuffer, cgs2
+from .linalg import ColumnBuffer, project
 from .sparse import csr_matvec
 
 _BREAKDOWN_TOL = 1e-14
@@ -87,28 +91,21 @@ class ArnoldiFactorization:
 
 def _advance(A, V, H, j_start, j_end, mode, t, counters, pending_w):
     """Run Arnoldi steps j_start..j_end-1 in place; return (v_next, w_next, breakdown)."""
-    w = pending_w
+    w = None if pending_w is None else pending_w.copy()  # a sibling extension shares it
     for j in range(j_start, j_end):
         if w is None:
             w = csr_matvec(A, V[:, j], counters)
         wnorm = np.linalg.norm(w)
-        if mode == MODE_FULL:
-            w, H[: j + 1, j] = cgs2(V[:, : j + 1], w)
+        lo = 0 if mode == MODE_FULL else max(0, j + 1 - t)
+        for npass in (1, 2):
+            H[lo:j + 1, j] += project(V[:, lo:j + 1], w)
             if counters is not None:
-                counters.add_inner_products(2 * (j + 2))  # per pass: j+1 projections, 1 norm
+                counters.add_inner_products(j + 2 - lo)  # j+1-lo projections, 1 norm
+            if npass == 1 and mode == MODE_FULL:
+                continue
             hnorm = np.linalg.norm(w)
-        else:
-            lo = max(0, j + 1 - t)
-            for _ in range(2):  # the second pass only if the first cancelled w almost fully
-                for i in range(lo, j + 1):
-                    hij = np.vdot(V[:, i], w)
-                    H[i, j] += hij
-                    w = w - hij * V[:, i]
-                if counters is not None:
-                    counters.add_inner_products(j + 2 - lo)
-                hnorm = np.linalg.norm(w)
-                if hnorm > _REPASS_TOL * wnorm:
-                    break
+            if hnorm > _REPASS_TOL * wnorm:  # the first pass did not cancel w
+                break
         if hnorm <= _BREAKDOWN_TOL * wnorm:
             return None, None, j + 1
         H[j + 1, j] = hnorm

@@ -75,8 +75,12 @@ def herm_mul(Q, X):
 def project(Q, W):
     """One block classical Gram-Schmidt pass in place: W -= Q C; returns C = Q* W.
 
+    The one Gram-Schmidt kernel of krec: both Arnoldi modes project A v_j
+    on a window of V with it, and ``GrowingQR`` projects each block on Q.
     A writable column-major complex128 block W is updated by zgemm with
-    beta = 1, so no Q C temporary of the height of W is formed.
+    beta = 1, so no Q C temporary of the height of W is formed; a vector
+    stays with numpy (see ``_blas_operands``).  Nothing is counted: the
+    caller charges its own cost model.
     """
     C = herm_mul(Q, W)
     if _blas_operands(Q, W) and W.flags.writeable:
@@ -84,23 +88,6 @@ def project(Q, W):
     else:
         W -= Q @ C
     return C
-
-
-def cgs2(Q, W):
-    """Project W onto the orthogonal complement of range(Q), for full Arnoldi's
-    vector A v_j.
-
-    Two ``project`` passes on a copy of W, which keep the result orthogonal
-    to Q's orthonormal columns to working precision ("twice is enough":
-    Giraud, Langou & Rozložník, Comput. Math. Appl. 2005).  Returns
-    (W - Q C, C) with C = C_1 + C_2 the summed coefficients of both passes.
-    Nothing is counted: the caller charges its own cost model.
-    ``GrowingQR`` takes the second pass only where the first cancelled.
-    """
-    W = np.array(W, dtype=np.complex128, order="C")
-    C = project(Q, W)
-    C += project(Q, W)
-    return W, C
 
 
 def qr_econ(M, counters=None):
@@ -130,19 +117,18 @@ def qr_econ(M, counters=None):
 CHOL_RCOND_MIN = 0.1
 
 
-def chol_qr(W, counters=None, out=None):
+def chol_qr(W, counters=None, overwrite=False):
     """``qr_econ`` of a tall W by one Cholesky QR when W is well conditioned.
 
     R is the upper Cholesky factor of the Gram W* W (one zherk), and
     Q = W R^{-1} one right-side trsm into a column-major copy of W, the
-    layout of ``GrowingQR``'s buffer; W is not changed.  With out, a
-    column-major complex128 block of W's shape (W itself, or a slot of a
-    buffer), the trsm runs in place on out: out is overwritten with W and
-    then with Q, and Q is out.  A Gram that is not positive definite, or an
-    R with rcond(R) <= CHOL_RCOND_MIN, falls back to ``qr_econ(W,
-    counters)``, whose Q is a new array and leaves out alone.  Either way
-    the factorization is charged ``ncols*(ncols+1)/2`` inner products: the
-    Gram is those products.
+    layout of ``GrowingQR``'s buffer.  With overwrite, the trsm writes Q
+    into W itself when W is column-major complex128, and Q is W; else W is
+    not changed.  A Gram that is not positive definite, or an R with
+    rcond(R) <= CHOL_RCOND_MIN, falls back to ``qr_econ(W, counters)``,
+    whose Q is a new array and leaves W alone.  Either way the
+    factorization is charged ``ncols*(ncols+1)/2`` inner products: the Gram
+    is those products.
     """
     W = _as_complex_matrix(W)
     n = W.shape[1]
@@ -154,12 +140,7 @@ def chol_qr(W, counters=None, out=None):
     R, info = scipy.linalg.lapack.zpotrf(G, clean=1)
     if info or not rcond(R) > CHOL_RCOND_MIN:  # a NaN rcond falls back too
         return qr_econ(W, counters)
-    if out is None:
-        Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1)
-    else:
-        if out is not W:
-            out[...] = W
-        Q = scipy.linalg.blas.ztrsm(1.0, R, out, side=1, overwrite_b=1)
+    Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1, overwrite_b=overwrite)
     if counters is not None:
         counters.add_inner_products(n * (n + 1) // 2)
     return EconQR(Q=Q, R=R)
@@ -217,11 +198,12 @@ class GrowingQR:
     append(W) projects the new block against Q once (``project``), takes the
     ``chol_qr`` of what is left and appends both, so M is never factored
     again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
-    Q lives in a ``ColumnBuffer``, and each block is written straight into
-    its slot there: W is copied into the slot, projected in place and
-    turned into Q_new by ``chol_qr``'s trsm on the slot, so an append forms
-    no temporary of the height of Q.  A Householder fallback or a second
-    pass writes its Q_new back into the slot.
+    Q lives in a ``ColumnBuffer``, and every block, the first included, is
+    copied into its slot there, projected in place when Q has columns, and
+    turned into Q_new by ``chol_qr(slot, overwrite=True)``, whose trsm
+    writes into the slot, so an append forms no temporary of the height of
+    Q.  A Householder fallback or a second pass writes its Q_new back into
+    the slot.
 
     ``chol_qr`` factors a well-conditioned block by Cholesky QR, whose only
     work on the long columns is two BLAS-3 calls (in place of Householder's
@@ -264,16 +246,15 @@ class GrowingQR:
         n, d = self.n, W.shape[1]
         if n + d > self._cols.data.shape[0]:
             raise DimensionMismatchError("GrowingQR holds at most nrows columns")
+        # projected and factored in its slot, column-major for the BLAS calls
         slot = self._cols.reserve(n + d)[:, n:n + d]
+        slot[...] = W
         C = np.zeros((0, d), dtype=np.complex128)
-        if n:
-            # projected in its slot, column-major for chol_qr's BLAS calls
-            slot[...] = W
-            W = slot
-            C = project(self.Q, W)
+        if n:  # against an empty Q, project would form an N x d zero block
+            C = project(self.Q, slot)
             if counters is not None:
                 counters.add_inner_products(n * d)
-        qr = chol_qr(W, counters, out=slot)  # copies a first block into the slot itself
+        qr = chol_qr(slot, counters, overwrite=True)
         Qnew, Rnew = qr.Q, qr.R
         if n and d:
             # ||W|| is the largest column norm of W = Q C + Q_new R_new, and

@@ -119,31 +119,22 @@ class TestCholQr:
         n = W.shape[1]
         assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
 
-
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
-    def test_out_takes_q_in_place(self, order, case):
-        # out is a slot of a wider buffer, as in GrowingQR: the Cholesky path
-        # writes Q there, the Householder fallback leaves it alone
+    def test_overwrite_takes_q_in_place(self, order, case):
+        # with overwrite, the Cholesky path writes Q into a column-major W and
+        # returns W, as GrowingQR factors a slot of its buffer; a row-major W
+        # is copied, and the Householder fallback leaves W alone
         W = np.asarray(_chol_cases()[case], order=order)
-        before, n = W.copy(), W.shape[1]
-        buf = np.zeros((W.shape[0], n + 3), dtype=np.complex128, order="F")
-        out = buf[:, 1:1 + n]
-        got, want = chol_qr(W, out=out), chol_qr(W)
-        assert np.array_equal(W, before)
-        assert np.array_equal(got.Q, want.Q) and np.array_equal(got.R, want.R)
-        if case == "well":
-            assert got.Q is out
-            assert not np.any(buf[:, 0]) and not np.any(buf[:, 1 + n:])
-        else:
-            assert not np.any(buf)
-
-    def test_out_may_be_w(self):
-        W = np.asfortranarray(_chol_cases()["well"])
+        before = W.copy(order="A")
         want = chol_qr(W)
-        got = chol_qr(W, out=W)
-        assert got.Q is W
-        assert np.array_equal(W, want.Q) and np.array_equal(got.R, want.R)
+        assert np.array_equal(W, before)
+        got = chol_qr(W, overwrite=True)
+        assert np.array_equal(got.Q, want.Q) and np.array_equal(got.R, want.R)
+        if case == "well" and order == "F":
+            assert got.Q is W
+        else:
+            assert got.Q is not W and np.array_equal(W, before)
 
 
 class TestSvdEcon:
