@@ -121,10 +121,10 @@ class TestCholQr:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
-    def test_overwrite_takes_q_in_place(self, order, case):
-        # with overwrite, the Cholesky path writes Q into a column-major W and
-        # returns W, as GrowingQR factors a slot of its buffer; a row-major W
-        # is copied, and the Householder fallback leaves W alone
+    def test_out_takes_q_in_place(self, order, case):
+        # with overwrite, the Cholesky path writes the output Q into a
+        # column-major W and returns W; a row-major W is copied, and the
+        # Householder fallback leaves W alone
         W = np.asarray(_chol_cases()[case], order=order)
         before = W.copy(order="A")
         want = chol_qr(W)
@@ -135,6 +135,21 @@ class TestCholQr:
             assert got.Q is W
         else:
             assert got.Q is not W and np.array_equal(W, before)
+
+    def test_out_may_be_w(self):
+        # W is a slot of a wider column-major buffer, as in GrowingQR: with
+        # overwrite the output Q is that slot, and the columns beside it are
+        # not touched
+        well = _chol_cases()["well"]
+        n = well.shape[1]
+        buf = np.zeros((well.shape[0], n + 3), dtype=np.complex128, order="F")
+        W = buf[:, 1:1 + n]
+        W[:] = well
+        want = chol_qr(well)
+        got = chol_qr(W, overwrite=True)
+        assert got.Q is W
+        assert np.array_equal(W, want.Q) and np.array_equal(got.R, want.R)
+        assert not np.any(buf[:, 0]) and not np.any(buf[:, 1 + n:])
 
 
 class TestSvdEcon:
