@@ -114,7 +114,12 @@ class _GrownBasis:
     is ``fac.image`` of R[:, k:] and Q* x_next: no work on long vectors past
     Q* x_next.  AugmentedBasis uses (M, X) = ([U, V_m], A [U, V_m]);
     SketchedBasis their sketches.  Both take M_U = U and X_U from a
-    ``RecycleState`` by the one rule of ``__init__``.
+    ``RecycleState`` by the one rule of ``__init__``, and ``start_state``
+    gives that state back, tagged with this basis's matrix epoch, for a
+    problem that must start from the same U again.  The basis is then the
+    one holder of U: AugmentedBasis keeps it only as Q[:, :k] R[:k, :k],
+    and SketchedBasis, which reads U in ``approximant`` and ``images``,
+    keeps the array it was given.
     """
 
     def __init__(self, A, recycle, matrix_epoch, counters, S=None, inexact=False):
@@ -164,7 +169,10 @@ class AugmentedBasis(_GrownBasis):
     Q R = [U, V_m] with R upper triangular with a nonnegative real diagonal.
     U and A U come from the recycling state and enter once, at construction;
     A U costs k matvecs unless the state's A U was formed on this matrix
-    epoch (see ``_GrownBasis``).  Each extend() appends only the Krylov
+    epoch (see ``_GrownBasis``).  U is copied into the grown QR there, and
+    the basis keeps no other reference to it: ``start_state`` forms
+    U = Q[:, :k] R[:k, :k] again, the same space to rounding, only when a
+    fallback asks for it.  Each extend() appends only the Krylov
     columns added since the previous call to the grown QR
     (``linalg.GrowingQR``: one block classical Gram-Schmidt pass against Q,
     a QR of the new block, and a second pass only where the first
@@ -186,6 +194,7 @@ class AugmentedBasis(_GrownBasis):
         self.m = 0               # Krylov columns absorbed
         self.fac = self.whitening = None
         self._append(self.U, counters)
+        self.U = None            # Q[:, :k] R[:k, :k] holds it now
 
     @property
     def Q(self):
@@ -215,6 +224,12 @@ class AugmentedBasis(_GrownBasis):
                            ell=None if w.L is None else w.L.shape[1])
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
+
+    def start_state(self):
+        """The state this basis started from: U = Q[:, :k] R[:k, :k] and its
+        cached A U, tagged with this basis's matrix epoch; no matvecs."""
+        return RecycleState(U=self.Q[:, :self.k] @ self.R[:self.k, :self.k], AU=self._XU,
+                            matrix_epoch=self.matrix_epoch)
 
     def recycle(self, k, next_epoch=None):
         """Recycling state for the problem on matrix epoch next_epoch (None: this
@@ -337,15 +352,28 @@ class SketchedBasis(_GrownBasis):
         """Sketched norm ||S Vhat y|| = ||R y||, the estimator's stand-in for ||Vhat y||."""
         return np.linalg.norm(self.R @ y)
 
+    def start_state(self):
+        """The state this basis started from: U, S U and S A U as it holds them,
+        tagged with this basis's matrix epoch."""
+        return RecycleState(U=self.U, SU=self.SU, SAU=self._XU, matrix_epoch=self.matrix_epoch)
+
     def images(self, Y):
         """(Vhat Y, S Vhat Y, S A Vhat Y), the last by the Arnoldi relation:
-        S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1]."""
+        S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1].
+
+        Vhat Y = V_m Y_V + U Y_U is formed in place, U Y_U added by blocks
+        of rows as in ``fac.image``, and before the s-row products: the
+        only N-row array it forms is Vhat Y itself.
+        """
         YU, YV = Y[:self.k], Y[self.k:]
+        V = self.fac.V @ YV
+        if self.k:
+            for i in range(0, V.shape[0], 4096):
+                V[i:i + 4096] += self.U[i:i + 4096] @ YU
         SVm = self.qr.Q @ self.R[:, self.k:]
         SAV = self.fac.image(SVm, self.s_next, YV, self._XU, YU)
-        V, SV = self.fac.V @ YV, SVm @ YV
+        SV = SVm @ YV
         if self.k:
-            V += self.U @ YU
             SV += self.SU @ YU
         return V, SV, SAV
 

@@ -344,16 +344,18 @@ def _run_once(spec, A0):
         counters = Counters()
         rec = RunRecord(problem_index=i, method=spec.method, m_used=0,
                         matvecs=0, inner_products=0, sketches=0)
+        # no problem reads the last one's update
+        update = spec.uses_recycling and spec.k > 0 and i + 1 < spec.num_problems
         t0 = time.perf_counter()
         basis = None
         try:
             basis = _new_basis(spec, A, S, recycle, epoch, counters)
+            recycle = None  # the basis holds U now; no second copy lives through the solve
             approx, rec.converged, rec.estimate_final = _solve(
                 spec, A, b, basis, counters, oracle)
             rec.ell_used = approx.ell
-            if spec.uses_recycling and spec.k > 0 and i + 1 < spec.num_problems:
-                # no problem reads the last one's update; a failed update must
-                # not void a finished solve: keep the previous recycling state
+            if update:
+                # a failed update must not void a finished solve
                 try:
                     recycle = basis.recycle(spec.k, _matrix_epoch(spec, i + 1))
                 except KrecError as exc:
@@ -362,6 +364,10 @@ def _run_once(spec, A0):
             rec.converged = False
             rec.error = f"{type(exc).__name__}: {exc}"
             approx = None
+        if update and recycle is None:
+            # the solve or the update failed: the next problem starts from this
+            # one's U again, which the basis gives back with the A U it holds
+            recycle = basis.start_state()
         rec.wall_time = time.perf_counter() - t0
         if basis is not None and basis.fac is not None:  # the m reached, solved or not
             rec.m_used = basis.fac.m

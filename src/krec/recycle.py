@@ -18,6 +18,16 @@ from .linalg import check_sketched_rank, partial_schur_closest_to_origin, whiten
 
 @dataclass
 class RecycleState:
+    """The recycled block U of the next problem and its cached images.
+
+    A grown basis takes the state at construction (``_GrownBasis``) and
+    then holds U itself, so the driver drops the state once the basis is
+    built and keeps one copy of each N-row block through the solve.  Where
+    a solve or an update fails, the basis's ``start_state()`` gives the
+    state back: rFOM forms U = Q[:, :k] R[:k, :k] from its grown QR, the
+    same space to rounding, with the A U it holds.
+    """
+
     U: np.ndarray              # N x k augmentation basis (k may be 0)
     SU: np.ndarray | None = None   # s x k cached sketch of U
     SAU: np.ndarray | None = None  # s x k cached sketch of A_epoch @ U

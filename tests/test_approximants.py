@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -759,3 +760,50 @@ def test_sketched_breakdown_equals_fom(case):
     got = basis.approximant(b, INV).full_vector()
     want = fom_closed(fac.V, fac.square_h(), b, INV).full_vector()
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_sketched_images_form_no_n_by_k_temporary():
+    # U_new = V_m Y_V + U Y_U takes U Y_U by blocks of 4096 rows: the traced
+    # peak of images(Y) stays below its outputs plus one such block
+    rng = np.random.default_rng(42)
+    A = gen_neumann2d(141)
+    N, k, m = A.nrows, 8, 20
+    S = sketch_new(N, 128, seed=4)
+    U = np.linalg.qr(_random_complex(rng, (N, k)))[0]
+    SU = _isometric_sketch_columns(S, U)
+    state = RecycleState(U=U, SU=SU, SAU=_random_complex(rng, (128, k)), matrix_epoch=0)
+    basis = SketchedBasis(A, S, state, 0)
+    fac = arnoldi_build(A, _random_complex(rng, N), m, mode=MODE_TRUNCATED)
+    basis.extend(fac)
+    Y = _random_complex(rng, (k + m, k))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        V, SV, SAV = basis.images(Y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < V.nbytes + SV.nbytes + SAV.nbytes + 4096 * k * 16
+    want = np.column_stack([U, fac.V]) @ Y
+    assert np.linalg.norm(V - want) <= 1e-13 * np.linalg.norm(want)
+    np.testing.assert_allclose(SV, np.column_stack([SU, _isometric_sketch_columns(S, fac.V)]) @ Y,
+                               atol=1e-12)
+
+
+def test_augmented_basis_holds_u_once():
+    # Q holds U after construction and the basis keeps no other reference:
+    # U dies with the state; start_state forms it again as Q R, so that a
+    # U that is not orthonormal still matches its A U
+    rng = np.random.default_rng(43)
+    A = _random_hpd(rng, 60)
+    state = RecycleState(U=_random_complex(rng, (60, 4)), matrix_epoch=0)
+    U, alive = state.U.copy(), weakref.ref(state.U)
+    basis = AugmentedBasis(A, state, 0)
+    del state
+    assert alive() is None
+    back = basis.start_state()
+    assert back.matrix_epoch == 0 and back.AU is basis._XU
+    assert np.linalg.norm(back.U - U) <= 1e-14 * np.linalg.norm(U)
+    want = A.to_dense() @ U
+    assert np.linalg.norm(A.to_dense() @ back.U - want) <= 1e-13 * np.linalg.norm(want)

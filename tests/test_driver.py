@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from krec import (
     ConfigError,
     Counters,
     DenseOracle,
+    DomainError,
+    EigConvergenceError,
     GeneratorSource,
     MODE_TRUNCATED,
     MatrixMarketSource,
@@ -426,6 +429,71 @@ def test_recycled_au_formed_only_for_the_same_matrix(monkeypatch, perturbation):
     # A U costs k matvecs on each new matrix, none on the same one
     extra = k if perturbation else 0
     assert [r.matvecs - r.m_used - 1 for r in recs] == [0] + [extra] * (p - 1)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-8])
+def test_state_dropped_before_the_solve(monkeypatch, perturbation):
+    # the basis holds U once built: the U of the state that the previous
+    # problem's update returned is gone before the solve starts
+    refs, alive = [], []
+    real_recycle, real_solve = krec.approximants.AugmentedBasis.recycle, krec.driver._solve
+
+    def recycle(basis, *args):
+        state = real_recycle(basis, *args)
+        refs.append(weakref.ref(state.U))
+        return state
+
+    def solve(*args):
+        if refs:
+            alive.append(refs[-1]() is not None)
+        return real_solve(*args)
+
+    monkeypatch.setattr(krec.approximants.AugmentedBasis, "recycle", recycle)
+    monkeypatch.setattr(krec.driver, "_solve", solve)
+    recs = run_sequence(_spec(method="rfom", k=5, num_problems=3, perturbation=perturbation))
+    assert all(r.converged for r in recs)
+    assert alive == [False, False]
+
+
+def _sin_largest_angle(U1, U2):
+    Q1, Q2 = np.linalg.qr(U1)[0], np.linalg.qr(U2)[0]
+    return np.linalg.norm(Q2 - Q1 @ (Q1.conj().T @ Q2), 2)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-8])
+@pytest.mark.parametrize("failure", ["solve", "update"])
+def test_fallback_restarts_from_the_same_u(monkeypatch, perturbation, failure):
+    # a failed solve, or a failed update, leaves the next problem the U the
+    # failed problem started from, given back by its basis: the same space,
+    # and A U costs k matvecs on a new matrix epoch and none on the same one
+    fail, k, m = 2, 5, 20
+    cls = krec.approximants.AugmentedBasis
+    name = "approximant" if failure == "solve" else "recycle"
+    seen, real_init, real = [], cls.__init__, getattr(cls, name)
+
+    def init(basis, A, recycle, *args):
+        seen.append(recycle.U.copy())
+        real_init(basis, A, recycle, *args)
+
+    def forced(basis, *args):
+        if len(seen) - 1 == fail:
+            raise (DomainError if failure == "solve" else EigConvergenceError)("forced")
+        return real(basis, *args)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    monkeypatch.setattr(cls, name, forced)
+    spec = _spec(method="rfom", k=k, m=m, num_problems=4, perturbation=perturbation)
+    if failure == "update":
+        with pytest.warns(UserWarning, match="recycling update skipped"):
+            recs = run_sequence(spec)
+    else:
+        recs = run_sequence(spec)
+    assert [r.error is None for r in recs] == [True, True, failure == "update", True]
+    assert seen[fail + 1].shape == (120, k)
+    assert _sin_largest_angle(seen[fail], seen[fail + 1]) <= 1e-12
+    after = recs[fail + 1]
+    assert after.m_used == m and after.matvecs == m + 1 + (k if perturbation else 0)
+    assert after.converged and after.relerr <= 10 * recs[1].relerr
 
 
 def _count_factorizations(monkeypatch, nested=False):
