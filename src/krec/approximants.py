@@ -14,6 +14,7 @@ from .arnoldi import MODE_TRUNCATED, arnoldi_build
 from .errors import DimensionMismatchError, RankDeficiencyError
 from .linalg import (
     GrowingQR,
+    combine,
     herm_mul,
     lu_solve,
     rcond,
@@ -41,34 +42,24 @@ _SVDTOL = 1e-8          # about sqrt(eps)
 class Approximant:
     """Coefficients of an approximant in a working basis.
 
-    The basis is one matrix, or a tuple of its column blocks, such as the
-    [U, V_m] of a sketched basis, which is then never stacked.
+    The basis is the tuple of its column blocks, such as the [U, V_m] of a
+    sketched basis, never stacked: ``full_vector`` is one ``linalg.combine``.
     """
 
     coeffs: np.ndarray
-    basis: np.ndarray | tuple
+    basis: tuple
     ell: int | None = None
     _full: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if sum(B.shape[1] for B in self.blocks) != self.coeffs.shape[0]:
+        if sum(B.shape[1] for B in self.basis) != self.coeffs.shape[0]:
             raise DimensionMismatchError("coefficient length must match basis width")
-
-    @property
-    def blocks(self):
-        return self.basis if isinstance(self.basis, tuple) else (self.basis,)
 
     def full_vector(self):
         """Materialize basis @ coeffs (cached)."""
         if self._full is None:
-            j = 0
-            for B in self.blocks:
-                part = B @ self.coeffs[j:j + B.shape[1]]
-                j += B.shape[1]
-                if self._full is None:
-                    self._full = part
-                else:
-                    self._full += part
+            ends = np.cumsum([B.shape[1] for B in self.basis])
+            self._full = combine(list(zip(self.basis, np.split(self.coeffs, ends[:-1]))))
         return self._full
 
 
@@ -80,7 +71,7 @@ def fom_closed(V, G, b, f):
     """
     V = np.asarray(V)
     c = herm_mul(V, np.asarray(b, dtype=np.complex128))
-    return Approximant(coeffs=matfun_apply(f, G, c), basis=V)
+    return Approximant(coeffs=matfun_apply(f, G, c), basis=(V,))
 
 
 class KrylovBasis:
@@ -96,7 +87,7 @@ class KrylovBasis:
         """Closed-form FOM approximant ||b|| V_m f(H_m) e_1: v_1 = b / ||b||, so
         V_m* b = ||b|| e_1 and no product with b is taken."""
         c = np.linalg.norm(b) * np.eye(1, self.fac.m)[0]
-        return Approximant(coeffs=matfun_apply(f, self.fac.square_h(), c), basis=self.fac.V)
+        return Approximant(coeffs=matfun_apply(f, self.fac.square_h(), c), basis=(self.fac.V,))
 
     norm = staticmethod(np.linalg.norm)  # of V_m y, as V_m is orthonormal
 
@@ -124,27 +115,34 @@ class _GrownBasis:
 
     def __init__(self, A, recycle, matrix_epoch, counters, S=None, inexact=False):
         """Take U and its image X_U = A U (S A U for a sketch S) from the
-        recycling state; None is the empty state.
+        recycling state, and for a sketch S U too; None is the empty state.
 
         The state's cached X_U (its AU, or its SAU for a sketch) is reused on
         the matrix epoch it was formed on, or on a stale one when inexact.
         Otherwise the state's A U is dropped first, so that a stale A U does
         not outlive the forming of the new one, and X_U is formed by one loop
         over the columns of U, a matvec and then S: k matvecs, k sketches.
+        A missing S U is formed in the same loop: k sketches more.
         """
         state = RecycleState.empty(A.nrows) if recycle is None else recycle
-        self.U, self.k = state.U, state.k
+        self.U, self.k, self.SU = state.U, state.k, state.SU
         self.matrix_epoch, self.counters = matrix_epoch, counters
+        image = (lambda x: x) if S is None else (lambda x: sketch_apply(S, x, counters))
         XU = state.AU if S is None else state.SAU
+        forms = []  # (image of U formed here, map of a column of U)
         if XU is None or (state.matrix_epoch != matrix_epoch and not inexact):
             XU = state.AU = None  # no reference to a stale A U while the new one is formed
             # the layout sets how BLAS rounds products with X_U: A U column-major,
             # S A U row-major
             XU = (np.empty((A.nrows, self.k), dtype=np.complex128, order="F") if S is None
                   else np.empty((S.s, self.k), dtype=np.complex128))
-            image = (lambda x: x) if S is None else (lambda x: sketch_apply(S, x, counters))
-            for j in range(self.k):
-                XU[:, j] = image(csr_matvec(A, self.U[:, j], counters))
+            forms.append((XU, lambda u: image(csr_matvec(A, u, counters))))
+        if S is not None and self.SU is None:
+            self.SU = np.empty((S.s, self.k), dtype=np.complex128)
+            forms.append((self.SU, image))
+        for j in range(self.k):
+            for out, form in forms:
+                out[:, j] = form(self.U[:, j])
         self.qr = GrowingQR(XU.shape[0])
         self._XU = XU
         self._QXU = np.zeros((0, self.k), dtype=np.complex128)
@@ -220,7 +218,7 @@ class AugmentedBasis(_GrownBasis):
         (L = I in the QR form), in Q coordinates; no product with b is taken."""
         w = self.whitening
         y = matfun_apply(f, w.G, w.forward(np.linalg.norm(b) * self.R[:, self.k]))
-        return Approximant(coeffs=y if w.L is None else w.L @ y, basis=self.Q,
+        return Approximant(coeffs=y if w.L is None else w.L @ y, basis=(self.Q,),
                            ell=None if w.L is None else w.L.shape[1])
 
     norm = staticmethod(np.linalg.norm)  # of Q y, as Q is orthonormal
@@ -228,8 +226,8 @@ class AugmentedBasis(_GrownBasis):
     def start_state(self):
         """The state this basis started from: U = Q[:, :k] R[:k, :k] and its
         cached A U, tagged with this basis's matrix epoch; no matvecs."""
-        return RecycleState(U=self.Q[:, :self.k] @ self.R[:self.k, :self.k], AU=self._XU,
-                            matrix_epoch=self.matrix_epoch)
+        return RecycleState(U=combine([(self.Q[:, :self.k], self.R[:self.k, :self.k])]),
+                            AU=self._XU, matrix_epoch=self.matrix_epoch)
 
     def recycle(self, k, next_epoch=None):
         """Recycling state for the problem on matrix epoch next_epoch (None: this
@@ -272,7 +270,7 @@ def rfom_step(A, b, U, m, f, AU=None, counters=None):
 
 def _whitened(basis, w, z, f):
     """Sketched FOM over one whitening of S Vhat = Q R, for z = Q* S b:
-    coeffs = J D^{-1} f(G) L* z, in the basis Vhat (or its column blocks)."""
+    coeffs = J D^{-1} f(G) L* z, in the basis Vhat given as its column blocks."""
     y = matfun_apply(f, w.G, w.forward(z))
     ell = None if w.J is None else w.J.shape[1]
     return Approximant(coeffs=w.back(y), basis=basis, ell=ell)
@@ -281,14 +279,14 @@ def _whitened(basis, w, z, f):
 def sfom_whitened(Vhat, SV, SAV, Sb, f):
     """Whitened sketched FOM: coeffs = R^{-1} f(Q* SAV R^{-1}) Q* Sb, QR of SV."""
     Q, w = whiten(SV, SAV)
-    return _whitened(np.asarray(Vhat), w, herm_mul(Q, Sb), f)
+    return _whitened((np.asarray(Vhat),), w, herm_mul(Q, Sb), f)
 
 
 def srfom_stab(Vhat, SV, SAV, Sb, f, svdtol=1e-14):
     """Stabilized sketched FOM over the SVD of SV cut at sigma_ell >= svdtol * sigma_1
     (taken as the SVD of the R of SV)."""
     Q, w = whiten(SV, SAV, svdtol)
-    return _whitened(np.asarray(Vhat), w, herm_mul(Q, Sb), f)
+    return _whitened((np.asarray(Vhat),), w, herm_mul(Q, Sb), f)
 
 
 class SketchedBasis(_GrownBasis):
@@ -298,9 +296,9 @@ class SketchedBasis(_GrownBasis):
     added since the previous call, and the sketch of v_next, kept for the
     Arnoldi relation, is the sketch of the column v_next becomes.  S U and
     S A U come from the recycling state, and S U enters with the first
-    Krylov block; S A U costs k matvecs and k sketches unless the state's
-    was formed on this matrix epoch or the update is inexact (see
-    ``_GrownBasis``).
+    Krylov block; S U costs k sketches when the state has none, and S A U
+    k matvecs and k sketches unless the state's was formed on this matrix
+    epoch or the update is inexact (see ``_GrownBasis``).
 
     S Vhat = [S U, S V_m] = Q R is grown, not re-factored: each extend()
     appends only its new sketched columns (all of [S U, S V_m] on the first
@@ -319,7 +317,6 @@ class SketchedBasis(_GrownBasis):
                  svdtol=None, inexact=False):
         super().__init__(A, recycle, matrix_epoch, counters, S, inexact)
         self.S, self.svdtol = S, svdtol  # svdtol None: whiten by QR
-        self.SU = recycle.SU if self.k else np.zeros((S.s, 0), dtype=np.complex128)
         self.fac = self.s_next = self.whitening = None
 
     def extend(self, fac):
@@ -345,7 +342,7 @@ class SketchedBasis(_GrownBasis):
     def approximant(self, b, f):
         """Sketched FOM approximant over the blocks [U, V_m]; S b = ||b|| S v_1,
         so Q* S b = ||b|| R[:, k]."""
-        basis = (self.U, self.fac.V) if self.k else self.fac.V
+        basis = (self.U, self.fac.V) if self.k else (self.fac.V,)
         return _whitened(basis, self.whitening, np.linalg.norm(b) * self.R[:, self.k], f)
 
     def norm(self, y):
@@ -361,21 +358,13 @@ class SketchedBasis(_GrownBasis):
         """(Vhat Y, S Vhat Y, S A Vhat Y), the last by the Arnoldi relation:
         S A Vhat Y = S A U Y_U + S V_m (H_m Y_V) + h S v_next Y_V[-1].
 
-        Vhat Y = V_m Y_V + U Y_U is formed in place, U Y_U added by blocks
-        of rows as in ``fac.image``, and before the s-row products: the
-        only N-row array it forms is Vhat Y itself.
+        Each is one ``linalg.combine``, Vhat Y first, beside no s-row array.
         """
         YU, YV = Y[:self.k], Y[self.k:]
-        V = self.fac.V @ YV
-        if self.k:
-            for i in range(0, V.shape[0], 4096):
-                V[i:i + 4096] += self.U[i:i + 4096] @ YU
-        SVm = self.qr.Q @ self.R[:, self.k:]
-        SAV = self.fac.image(SVm, self.s_next, YV, self._XU, YU)
-        SV = SVm @ YV
-        if self.k:
-            SV += self.SU @ YU
-        return V, SV, SAV
+        V = combine([(self.fac.V, YV), (self.U, YU)])
+        SVm = combine([(self.qr.Q, self.R[:, self.k:])])
+        SV = combine([(SVm, YV), (self.SU, YU)])
+        return V, SV, self.fac.image(SVm, self.s_next, YV, self._XU, YU)
 
     def recycle(self, k, next_epoch=None):
         """Recycling state for the next problem by sketched Rayleigh-Ritz.
@@ -407,7 +396,7 @@ def gmres_type_closed(fac, b, f):
         x = lu_solve(Hm.conj().T, np.eye(fac.m, dtype=np.complex128)[:, -1])
         Hm[:, -1] += abs(fac.h_tail) ** 2 * x
     c = np.linalg.norm(b) * np.eye(1, fac.m)[0]
-    return Approximant(coeffs=matfun_apply(f, Hm, c), basis=fac.V)
+    return Approximant(coeffs=matfun_apply(f, Hm, c), basis=(fac.V,))
 
 
 def sgmres_type(SV, SW, Sb, Vhat, f):
@@ -422,7 +411,7 @@ def sgmres_type(SV, SW, Sb, Vhat, f):
     G = lu_solve(B, SW.conj().T @ SW)
     z = lu_solve(B, SW.conj().T @ np.asarray(Sb))
     coeffs = matfun_apply(f, G, z)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat))
+    return Approximant(coeffs=coeffs, basis=(np.asarray(Vhat),))
 
 
 def sgmres_type_stab(SV, SW, Sb, Vhat, f, svdtol=1e-14):
@@ -433,4 +422,4 @@ def sgmres_type_stab(SV, SW, Sb, Vhat, f, svdtol=1e-14):
     G = lu_solve(K, np.diag(sig).astype(np.complex128))
     z = lu_solve(K, L.conj().T @ np.asarray(Sb))
     coeffs = J @ matfun_apply(f, G, z)
-    return Approximant(coeffs=coeffs, basis=np.asarray(Vhat), ell=sig.size)
+    return Approximant(coeffs=coeffs, basis=(np.asarray(Vhat),), ell=sig.size)

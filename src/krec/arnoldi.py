@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import ColumnBuffer, project
+from .linalg import ColumnBuffer, combine, project
 from .sparse import csr_matvec
 
 _BREAKDOWN_TOL = 1e-14
@@ -74,19 +74,16 @@ class ArnoldiFactorization:
     def image(self, XV, x_next, Y=None, XU=None, YU=None):
         """M A [U, V_m] [Y_U; Y] = X_V H_m Y + h x_next e_m^T Y (+ X_U Y_U) by the
         Arnoldi relation, for X_V = M V_m, x_next = M v_next, X_U = M A U and
-        any linear map M.  Y=None is the identity; after a breakdown there is
-        no h term and x_next may be None.  By blocks of rows: no temporary of
-        the height of X_V next to the result."""
+        any linear map M, by ``linalg.combine``.  Y=None is the identity; after
+        a breakdown there is no h term and x_next may be None."""
         H = self.square_h()
-        out = XV @ (H if Y is None else H @ Y)
-        last = np.eye(1, self.m, self.m - 1)[0] if Y is None else Y[-1, :]  # e_m^T Y
-        for i in range(0, out.shape[0], 4096):
-            rows = slice(i, i + 4096)
-            if XU is not None:
-                out[rows] += XU[rows] @ YU
-            if self.breakdown is None:
-                out[rows] += np.outer(self.h_tail * x_next[rows], last)
-        return out
+        terms = [(XV, H if Y is None else H @ Y)]
+        if XU is not None:
+            terms.append((XU, YU))
+        if self.breakdown is None:
+            last = np.eye(1, self.m, self.m - 1)[0] if Y is None else Y[-1, :]  # e_m^T Y
+            terms.append((self.h_tail * x_next, last))
+        return combine(terms)
 
 
 def _advance(A, V, H, j_start, j_end, mode, t, counters, pending_w):

@@ -211,8 +211,6 @@ class DenseOracle:
     content before it is computed.
     """
 
-    _EXP_COND_LIMIT = 1e8
-
     def __init__(self, f, cap=1500):
         self.f = f
         self.cap = cap
@@ -236,9 +234,9 @@ class DenseOracle:
     def _factor(self, dense):
         if self.f.kind == "inv":
             return "lu", scipy.linalg.lu_factor(dense)
-        lam, W = np.linalg.eig(dense)
-        if self.f.kind == "exp" and np.linalg.cond(W) > self._EXP_COND_LIMIT:
+        if self.f.kind == "exp":
             return "expm", (scipy.linalg.expm(self.f.tau * dense),)
+        lam, W = np.linalg.eig(dense)
         self.f.check_spectrum(lam)
         return "eig", (lam, W, *scipy.linalg.lu_factor(W))
 

@@ -1,6 +1,6 @@
-"""Dense decomposition kernels: block Gram-Schmidt, QR (one-shot by Householder
-or Cholesky, and grown by appending columns), SVD, whitening of a sketched
-basis, eigendecomposition, partial Schur, LU solve.
+"""Dense decomposition kernels: products of a tall block, block Gram-Schmidt, QR
+(one-shot by Householder or Cholesky, and grown by appending columns), SVD,
+whitening of a sketched basis, eigendecomposition, partial Schur, LU solve.
 
 All kernels work on complex128 arrays of moderate size (a few hundred rows or
 columns); they wrap LAPACK through numpy/scipy and enforce the deterministic
@@ -70,6 +70,24 @@ def herm_mul(Q, X):
     if _blas_operands(Q, X):
         return scipy.linalg.blas.zgemm(1.0, Q, X, trans_a=2)
     return (X.conj().T @ Q).conj().T
+
+
+def combine(terms):
+    """The sum of X @ Y over the (X, Y) terms, X tall and Y small, where a 1-D X
+    is the rank-one term x y^T (as ``np.outer``): the one tall-product kernel.
+
+    The first product is the result; each other with a nonempty Y is added
+    to it by blocks of 4096 rows, so one block of one term is the only
+    temporary.  A numpy GEMM or GEMV cut into row blocks rounds every row as
+    the whole product does, so the sum is the unblocked one bit for bit."""
+    (X, Y), *rest = terms
+    out = np.outer(X, Y) if X.ndim == 1 else X @ Y
+    for i in range(0, out.shape[0], 4096):
+        rows = slice(i, i + 4096)
+        for X, Y in rest:
+            if Y.size:  # an empty Y, such as the Y_U of no U, adds nothing
+                out[rows] += np.outer(X[rows], Y) if X.ndim == 1 else X[rows] @ Y
+    return out
 
 
 def project(Q, W):
@@ -406,15 +424,12 @@ def partial_schur_closest_to_origin(M, k):
     return PartialSchur(X=Z[:, :k], T=np.triu(T[:k, :k]))
 
 
-def lu_solve(M, B, counters=None):
+def lu_solve(M, B):
     """Solve M @ Y = B by partial-pivoted LU; B may be a vector or matrix."""
     M = _as_complex_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatchError("lu_solve requires a square matrix")
     B = np.asarray(B, dtype=np.complex128)
-    vector_input = B.ndim == 1
-    if vector_input:
-        B = B[:, np.newaxis]
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatchError("right-hand side has incompatible row count")
     with warnings.catch_warnings():
@@ -425,5 +440,4 @@ def lu_solve(M, B, counters=None):
     zero = np.nonzero(diag == 0)[0]
     if zero.size:
         raise SingularMatrixError(int(zero[0]))
-    Y = scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-    return Y[:, 0] if vector_input else Y
+    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)

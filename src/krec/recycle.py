@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, EpochMismatchError
-from .linalg import check_sketched_rank, partial_schur_closest_to_origin, whiten
+from .linalg import check_sketched_rank, combine, partial_schur_closest_to_origin, whiten
 
 
 @dataclass
@@ -53,7 +53,7 @@ def update_orthonormal(basis, G, k, L=None):
     """
     ps = partial_schur_closest_to_origin(G, k)
     X = ps.X if L is None else L @ ps.X
-    return np.asarray(basis) @ X, np.diagonal(ps.T).copy(), ps.X
+    return combine([(np.asarray(basis), X)]), np.diagonal(ps.T).copy(), ps.X
 
 
 def srr_matrix(qr, SAV):

@@ -376,6 +376,31 @@ class TestSrfomStep:
         diff = np.linalg.norm(approx.coeffs - want.coeffs)
         assert diff <= 1e-12 * np.linalg.norm(want.coeffs)
 
+    @pytest.mark.parametrize("given", ["U", "U, SAU"])
+    def test_state_without_su_has_it_formed(self, given):
+        # a state with U alone, as AugmentedBasis.recycle gives, or a caller's
+        # own: S U (and a missing S A U) is formed in the loop over U's
+        # columns, one sketch each, and the approximant is that of the run
+        # given both, formed by hand column by column
+        from krec.matrices import gen_hpd
+        from krec.sparse import csr_matvec
+        rng = np.random.default_rng(14)
+        A = gen_hpd(100, seed=1)
+        b = _random_complex(rng, 100)
+        S = sketch_new(100, 60, seed=3)
+        k = 4
+        U = np.linalg.qr(_random_complex(rng, (100, k)))[0]
+        SU = _isometric_sketch_columns(S, U)
+        SAU = np.column_stack([sketch_apply(S, csr_matvec(A, U[:, j])) for j in range(k)])
+        own, full = Counters(), Counters()
+        state = RecycleState(U=U, SAU=SAU if "SAU" in given else None)
+        approx, _ = srfom_step(A, b, S, state, 15, INV, counters=own)
+        want, _ = srfom_step(A, b, S, RecycleState(U=U, SU=SU, SAU=SAU), 15, INV,
+                             counters=full)
+        np.testing.assert_array_equal(approx.full_vector(), want.full_vector())
+        formed = 0 if "SAU" in given else k  # S A U: a matvec and a sketch per column
+        assert np.subtract(own.snapshot(), full.snapshot()).tolist() == [formed, 0, k + formed]
+
     def test_sketch_count_is_m_plus_one(self):
         rng = np.random.default_rng(13)
         A = _random_hpd(rng, 80)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from krec.linalg import (
     CHOL_RCOND_MIN,
     GrowingQR,
     chol_qr,
+    combine,
     herm_mul,
     project,
     rcond,
@@ -340,6 +343,68 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError) as err:
             lu_solve(M, np.ones(3, dtype=np.complex128))
         assert isinstance(err.value.pivot_index, int)
+
+
+class TestCombine:
+    # the unblocked sum bit for bit at heights below, at and above one block
+    # of 4096 rows, in either layout
+    @pytest.mark.parametrize("N", [100, 4096, 9000])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_unblocked_sum(self, N, order):
+        rng = np.random.default_rng(N)
+        X1, X2 = (np.asarray(_random_complex(rng, (N, d)), order=order) for d in (12, 4))
+        Y1, Y2 = _random_complex(rng, (12, 5)), _random_complex(rng, (4, 5))
+        x, y = _random_complex(rng, N), _random_complex(rng, 5)
+        want = X1 @ Y1
+        want += X2 @ Y2
+        want += np.outer(x, y)
+        got = combine([(X1, Y1), (X2, Y2), (x, y)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N", [100, 4096, 9000])
+    def test_coefficient_vector(self, N):
+        # 1-D coefficients, as an approximant's full vector over [U, V_m]
+        rng = np.random.default_rng(N + 1)
+        X1 = np.asfortranarray(_random_complex(rng, (N, 12)))
+        X2 = _random_complex(rng, (N, 4))
+        y1, y2 = _random_complex(rng, 12), _random_complex(rng, 4)
+        want = X1 @ y1
+        want += X2 @ y2
+        got = combine([(X1, y1), (X2, y2)])
+        assert got.shape == (N,) and got.tobytes() == want.tobytes()
+        assert combine([(X1, y1)]).tobytes() == (X1 @ y1).tobytes()
+
+    def test_rank_one_term_first(self):
+        rng = np.random.default_rng(3)
+        x, y, X, Y = (_random_complex(rng, shape) for shape in (9000, 5, (9000, 3), (3, 5)))
+        want = np.outer(x, y)
+        want += X @ Y
+        assert combine([(x, y), (X, Y)]).tobytes() == want.tobytes()
+
+    def test_empty_term_adds_nothing(self):
+        # the Y_U of a first problem, which has no U
+        rng = np.random.default_rng(5)
+        X, Y = _random_complex(rng, (9000, 3)), _random_complex(rng, (3, 5))
+        U, YU = np.empty((9000, 0), dtype=np.complex128), np.empty((0, 5), dtype=np.complex128)
+        assert combine([(X, Y), (U, YU)]).tobytes() == (X @ Y).tobytes()
+
+    def test_no_temporary_of_the_height_of_a_term(self):
+        # the traced peak of a two-term call stays below its result plus one
+        # 4096-row block of the second term (0.52 MB) and 4 KB for the call's
+        # own Python objects (1.3 KB measured); X2 @ Y2 whole would add 2.56 MB
+        rng = np.random.default_rng(4)
+        N, k = 20000, 8
+        X1, X2 = _random_complex(rng, (N, 10)), _random_complex(rng, (N, 6))
+        Y1, Y2 = _random_complex(rng, (10, k)), _random_complex(rng, (6, k))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = combine([(X1, Y1), (X2, Y2)])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4096 * k * 16 + 4096
 
 
 class TestProjection:

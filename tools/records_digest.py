@@ -1,8 +1,9 @@
 """Digest of the per-problem records of every benchmark sequence.
 
 Runs ``Workload.spec(method, seed)`` from ``seqbench/workloads.py`` for the
-four workload methods, the three workloads and seeds 0-2, and prints one
-line per sequence: workload, method, seed, the number of problems, the
+four workload methods, the three workloads and seeds 0-2, and plain
+``srfom`` (the srfom_stab spec with ``method="srfom"``), whose QR-whitened
+sketched path no workload runs, and prints one line per sequence: workload, method, seed, the number of problems, the
 sequence's summed matvecs, inner products and sketches (``mv=``, ``ip=``,
 ``sk=``) and two SHA-256 digests over its records:
 
@@ -23,6 +24,7 @@ test can flip on rounding, so run it with one BLAS thread:
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "seqbench")]
@@ -51,10 +53,17 @@ def _digest(records, key):
     return digest.hexdigest()[:16]
 
 
+def sequence_spec(workload, method, seed):
+    """The workload's spec for method; srfom takes the srfom_stab settings."""
+    if method == "srfom":
+        return replace(WORKLOADS[workload].spec("srfom_stab", seed), method="srfom")
+    return WORKLOADS[workload].spec(method, seed)
+
+
 def sequence_digest(workload, method, seed):
     """One output line: the sequence's name, its length, its summed counters and
     the digests of its work and of its full records."""
-    records = run_sequence(WORKLOADS[workload].spec(method, seed))
+    records = run_sequence(sequence_spec(workload, method, seed))
     mv, ip, sk = (sum(getattr(r, name) for r in records)
                   for name in ("matvecs", "inner_products", "sketches"))
     return (f"{workload} {method} seed={seed} problems={len(records)} mv={mv} ip={ip} "
@@ -63,7 +72,7 @@ def sequence_digest(workload, method, seed):
 
 def main():
     for workload in WORKLOADS:
-        for method in METHODS:
+        for method in (*METHODS, "srfom"):
             for seed in SEEDS:
                 print(sequence_digest(workload, method, seed), flush=True)
 
