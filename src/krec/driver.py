@@ -70,7 +70,7 @@ class SequenceSpec:
     inexact_srr: bool = False
     stop_rule: str = "estimator"   # "estimator" | "oracle"
     oracle_cap: int = 1500
-    timing_reps: int = 3
+    timing_reps: int = 1           # one pass; kept until seqbench stops passing it
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -83,8 +83,8 @@ class SequenceSpec:
             raise ConfigError(f"unknown stop rule {self.stop_rule!r}")
         if self.t < 1:
             raise ConfigError("need t >= 1")
-        if self.timing_reps < 1:
-            raise ConfigError("need timing_reps >= 1")
+        if self.timing_reps != 1:
+            raise ConfigError("timing_reps must be 1: a sequence runs once")
         if self.oracle_cap < 0:
             raise ConfigError("need oracle_cap >= 0")
         if self.seed < 0:
@@ -93,8 +93,7 @@ class SequenceSpec:
             raise ConfigError("perturbation must be finite and nonnegative")
         if not 0 < self.svdtol <= 1:  # also rejects nan
             raise ConfigError("need 0 < svdtol <= 1")
-        m_top, m_key = ((self.m.m_max, "m_max") if isinstance(self.m, AdaptiveM)
-                        else (self.m, "m"))
+        m_top, m_key = self.m_top
         if m_top < 1:
             raise ConfigError(f"need {m_key} >= 1")
         if self.uses_sketching:
@@ -107,6 +106,11 @@ class SequenceSpec:
                 raise ConfigError(f"need k + {m_key} <= s for sketched methods")
         if self.uses_recycling and not 0 <= self.k < m_top:
             raise ConfigError(f"need 0 <= k < {m_key} for recycled methods")
+
+    @property
+    def m_top(self):
+        """The largest cycle length and the key that sets it."""
+        return (self.m.m_max, "m_max") if isinstance(self.m, AdaptiveM) else (self.m, "m")
 
     @property
     def uses_sketching(self):
@@ -155,6 +159,8 @@ def load_matrix(source, shift=0.0):
             raise
     else:
         raise ConfigError(f"unsupported matrix source {source!r}")
+    if A.nrows != A.ncols:
+        raise ConfigError(f"matrix must be square, got shape {A.nrows}x{A.ncols}")
     if shift != 0:
         A = A.add_scaled_identity(shift)
     return A
@@ -252,9 +258,9 @@ class DenseOracle:
         return W @ (self.f(lam) * scipy.linalg.lu_solve((lu, piv), b))
 
 
-def oracle_exact(A, b, f, cap=1500):
+def oracle_exact(A, b, f):
     """One-shot dense reference f(A)b; None when A exceeds the size cap."""
-    oracle = DenseOracle(f, cap=cap)
+    oracle = DenseOracle(f)
     oracle.set_matrix(A, epoch=0)
     return oracle.solve(np.asarray(b, dtype=np.complex128))
 
@@ -386,21 +392,17 @@ def _run_once(spec, A0):
 
 
 def run_sequence(spec):
-    """Execute the sequence timing_reps times.
-
-    All repetitions produce identical counters and errors (same seeds); the
-    reported wall times are the per-problem medians over the repetitions.
-    """
+    """Execute the sequence once; returns the per-problem records."""
     A0 = load_matrix(spec.matrix_source, spec.shift)
     if (spec.stop_rule == "oracle" and isinstance(spec.m, AdaptiveM)
             and A0.nrows > spec.oracle_cap):
         raise ConfigError(f"oracle stopping requires N = {A0.nrows} within the "
                           f"oracle cap {spec.oracle_cap}")
-    all_runs = [_run_once(spec, A0) for _ in range(spec.timing_reps)]
-    records = all_runs[-1]
-    for idx, rec in enumerate(records):
-        rec.wall_time = float(np.median([run[idx].wall_time for run in all_runs]))
-    return records
+    m_top, m_key = spec.m_top
+    # the grown QR of [U, V_m] needs at most N columns
+    if spec.method == "rfom" and spec.k + m_top > A0.nrows:
+        raise ConfigError(f"need k + {m_key} <= N = {A0.nrows} for rfom")
+    return _run_once(spec, A0)
 
 
 CSV_HEADER = ("problem,method,m_used,matvecs,inner_products,sketches,relerr,estimate,ell,"
@@ -547,7 +549,6 @@ CONFIG_KEYS = {
     "inexact_srr": ConfigKey(_parse_bool, "keep the cached S A U on a new matrix"),
     "stop_rule": ConfigKey(str, "adaptive stop rule", ("estimator", "oracle")),
     "oracle_cap": ConfigKey(_parse_int, "largest N given a dense reference solution"),
-    "timing_reps": ConfigKey(_parse_int, "sequence repetitions; wall times are their median"),
 }
 
 

@@ -108,13 +108,8 @@ def project(Q, W):
     return C
 
 
-def qr_econ(M, counters=None):
-    """Economic QR with the nonnegative-real-diagonal sign convention.
-
-    When a counter is supplied, the factorization is charged
-    ``ncols*(ncols+1)/2`` inner products (one per projection coefficient
-    plus one norm per column).
-    """
+def qr_econ(M):
+    """Economic QR with the nonnegative-real-diagonal sign convention."""
     M = _as_complex_matrix(M)
     if M.shape[0] < M.shape[1]:
         raise DimensionMismatchError("qr_econ requires nrows >= ncols")
@@ -123,9 +118,6 @@ def qr_econ(M, counters=None):
     phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     Q = Q * phase[np.newaxis, :]
     R = R * np.conj(phase)[:, np.newaxis]
-    if counters is not None:
-        n = M.shape[1]
-        counters.add_inner_products(n * (n + 1) // 2)
     return EconQR(Q=Q, R=np.triu(R))
 
 
@@ -135,33 +127,25 @@ def qr_econ(M, counters=None):
 CHOL_RCOND_MIN = 0.1
 
 
-def chol_qr(W, counters=None, overwrite=False):
+def chol_qr(W):
     """``qr_econ`` of a tall W by one Cholesky QR when W is well conditioned.
 
     R is the upper Cholesky factor of the Gram W* W (one zherk), and
-    Q = W R^{-1} one right-side trsm into a column-major copy of W, the
-    layout of ``GrowingQR``'s buffer.  With overwrite, the trsm writes Q
-    into W itself when W is column-major complex128, and Q is W; else W is
-    not changed.  A Gram that is not positive definite, or an R with
-    rcond(R) <= CHOL_RCOND_MIN, falls back to ``qr_econ(W, counters)``,
-    whose Q is a new array and leaves W alone.  Either way the
-    factorization is charged ``ncols*(ncols+1)/2`` inner products: the Gram
-    is those products.
+    Q = W R^{-1} one right-side trsm.  Both read a column-major complex128
+    W, a slot of ``GrowingQR``'s buffer, in place, and the trsm writes Q
+    into W, so Q is W (any other W is copied first, and left alone).  A Gram
+    that is not positive definite, or an R with rcond(R) <= CHOL_RCOND_MIN,
+    falls back to ``qr_econ(W)``, whose Q is a new array and leaves W alone.
+    Nothing is counted: ``GrowingQR`` charges its own cost model.
     """
     W = _as_complex_matrix(W)
     n = W.shape[1]
     if not n or W.shape[0] < n:
-        return qr_econ(W, counters)
-    # the Gram reads W in place, whichever of W and W.T is column-major
-    G = (scipy.linalg.blas.zherk(1.0, W, trans=2) if W.flags.f_contiguous
-         else scipy.linalg.blas.zherk(1.0, W.T).conj())  # conj(W^T conj(W)) = W* W
-    R, info = scipy.linalg.lapack.zpotrf(G, clean=1)
+        return qr_econ(W)
+    R, info = scipy.linalg.lapack.zpotrf(scipy.linalg.blas.zherk(1.0, W, trans=2), clean=1)
     if info or not rcond(R) > CHOL_RCOND_MIN:  # a NaN rcond falls back too
-        return qr_econ(W, counters)
-    Q = scipy.linalg.blas.ztrsm(1.0, R, W, side=1, overwrite_b=overwrite)
-    if counters is not None:
-        counters.add_inner_products(n * (n + 1) // 2)
-    return EconQR(Q=Q, R=R)
+        return qr_econ(W)
+    return EconQR(Q=scipy.linalg.blas.ztrsm(1.0, R, W, side=1, overwrite_b=True), R=R)
 
 
 def svd_econ(M):
@@ -218,10 +202,10 @@ class GrowingQR:
     again (Balabanov & Grigori, SISC 2022, keep the sketched R the same way).
     Q lives in a ``ColumnBuffer``, and every block, the first included, is
     copied into its slot there, projected in place when Q has columns, and
-    turned into Q_new by ``chol_qr(slot, overwrite=True)``, whose trsm
-    writes into the slot, so an append forms no temporary of the height of
-    Q.  A Householder fallback or a second pass writes its Q_new back into
-    the slot.
+    turned into Q_new by ``chol_qr(slot)``, whose trsm writes into the
+    slot, so an append forms no temporary of the height of Q.  A
+    Householder fallback or a second pass writes its Q_new back into the
+    slot.
 
     ``chol_qr`` factors a well-conditioned block by Cholesky QR, whose only
     work on the long columns is two BLAS-3 calls (in place of Householder's
@@ -270,9 +254,7 @@ class GrowingQR:
         C = np.zeros((0, d), dtype=np.complex128)
         if n:  # against an empty Q, project would form an N x d zero block
             C = project(self.Q, slot)
-            if counters is not None:
-                counters.add_inner_products(n * d)
-        qr = chol_qr(slot, counters, overwrite=True)
+        qr = chol_qr(slot)
         Qnew, Rnew = qr.Q, qr.R
         if n and d:
             # ||W|| is the largest column norm of W = Q C + Q_new R_new, and
@@ -290,6 +272,8 @@ class GrowingQR:
         R[:n, n:] = C
         R[n:, n:] = Rnew
         self.R, self._cols.n = R, n + d
+        if counters is not None:
+            counters.add_inner_products(n * d + d * (d + 1) // 2)
         return slot
 
 

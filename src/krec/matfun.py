@@ -18,7 +18,7 @@ from .errors import (
 )
 from .linalg import eigvals_dense, lu_solve
 
-_DOMAIN_TOL = 1e-12
+_DOMAIN_TOL = 1e-12  # relative to the spectral radius, so f(cH) behaves as f(H)
 _CERT_SAFETY = 10.0  # margin of the LU spectrum certificate of inv
 
 
@@ -46,7 +46,8 @@ class ScalarFunction:
         return np.exp(self.tau * z)
 
     def check_spectrum(self, eigenvalues):
-        """Raise DomainError if an eigenvalue is too close to the forbidden set."""
+        """Raise DomainError if an eigenvalue is within _DOMAIN_TOL times the
+        spectral radius of the forbidden set (so a zero spectrum raises)."""
         lam = np.asarray(eigenvalues)
         if self.kind == "inv":
             dist = np.abs(lam)
@@ -55,11 +56,11 @@ class ScalarFunction:
             dist = np.where(lam.real <= 0, np.abs(lam.imag), np.abs(lam))
         else:
             return
-        bad = np.nonzero(dist < _DOMAIN_TOL)[0]
+        bad = np.nonzero(dist <= _DOMAIN_TOL * np.abs(lam).max(initial=0.0))[0]
         if bad.size:
             raise DomainError(
-                f"eigenvalue {lam[bad[0]]} within {_DOMAIN_TOL} of the forbidden set "
-                f"of {self.kind}"
+                f"eigenvalue {lam[bad[0]]} within {_DOMAIN_TOL} times the spectral "
+                f"radius of the forbidden set of {self.kind}"
             )
 
 
@@ -77,10 +78,11 @@ def _inv_solve(f, H, B):
 
     The same LU gives H^{-1}, whose Frobenius norm bounds the spectrum away
     from 0: every eigenvalue has |lambda| >= sigma_min(H) >= 1/||H^{-1}||_F.
-    The bound must clear the domain tolerance plus the backward error
-    n eps ||H||_F of computed eigenvalues, with a margin of _CERT_SAFETY for
-    the rounding in H^{-1}.  When it does not, or the LU has a zero pivot,
-    the eigenvalues alone decide whether to raise DomainError.
+    The bound must clear the domain tolerance times the spectral radius
+    (at most ||H||_F) plus the backward error n eps ||H||_F of computed
+    eigenvalues, with a margin of _CERT_SAFETY for the rounding in H^{-1}.
+    When it does not, or the LU has a zero pivot, the eigenvalues alone
+    decide whether to raise DomainError.
     """
     n = H.shape[0]
     try:
@@ -88,7 +90,7 @@ def _inv_solve(f, H, B):
     except SingularMatrixError:
         f.check_spectrum(eigvals_dense(H))
         raise
-    slack = _CERT_SAFETY * (_DOMAIN_TOL + n * np.finfo(float).eps * np.linalg.norm(H))
+    slack = _CERT_SAFETY * (_DOMAIN_TOL + n * np.finfo(float).eps) * np.linalg.norm(H)
     if not (np.isfinite(slack) and slack * np.linalg.norm(Y[:, -n:]) <= 1.0):
         f.check_spectrum(eigvals_dense(H))
     return Y[:, :-n]

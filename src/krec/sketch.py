@@ -31,10 +31,6 @@ class SketchOperator:
     rows: np.ndarray   # length s, sorted distinct indices into [0, pad)
     pad: int           # padded power-of-two length N' >= N
 
-    @property
-    def is_isometry(self):
-        return self.s == self.pad
-
 
 def sketch_new(N, s, seed):
     """Draw a seeded sketching operator; identical seeds give identical operators."""
@@ -89,7 +85,7 @@ def sketch_av_from_arnoldi(S, fac, SV, s_next):
     return fac.image(SV, s_next)
 
 
-def estimate_epsilon(S, vectors, sketched=None, counters=None):
+def estimate_epsilon(S, vectors, sketched=None):
     """Embedding-distortion estimate max_j |  ||S v_j||^2 / ||v_j||^2 - 1 |.
 
     Pre-sketched vectors may be passed to avoid re-sketching.  The result is
@@ -103,7 +99,7 @@ def estimate_epsilon(S, vectors, sketched=None, counters=None):
         nv = np.linalg.norm(v)
         if nv == 0:
             raise ValueError(f"vector {j} is zero")
-        sv = sketched[j] if sketched is not None else sketch_apply(S, v, counters)
+        sv = sketched[j] if sketched is not None else sketch_apply(S, v)
         ratio = (np.linalg.norm(sv) / nv) ** 2
         worst = max(worst, abs(ratio - 1.0))
     return min(worst, 0.99)

@@ -61,9 +61,9 @@ class CSRMatrix:
         return (self.nrows, self.ncols)
 
     @classmethod
-    def from_dense(cls, M, tol=0.0):
+    def from_dense(cls, M):
         M = np.asarray(M, dtype=np.complex128)
-        sp = scipy.sparse.csr_matrix(np.where(np.abs(M) > tol, M, 0.0))
+        sp = scipy.sparse.csr_matrix(M)
         sp.sort_indices()
         return cls(M.shape[0], M.shape[1], sp.indptr, sp.indices, sp.data)
 
@@ -88,9 +88,6 @@ class CSRMatrix:
         if self.nrows != self.ncols:
             raise DimensionMismatchError("shift requires a square matrix")
         return CSRMatrix.from_scipy(self._scipy + sigma * scipy.sparse.identity(self.nrows))
-
-    def one_norm(self):
-        return float(np.max(np.abs(self._scipy).sum(axis=0))) if self.nnz else 0.0
 
 
 def csr_matvec(A, v, counters=None):

@@ -21,7 +21,7 @@ def test_run_with_config_and_csv(tmp_path, capsys):
         "",
     ]))
     out = tmp_path / "out.csv"
-    code = main(["run", "--config", cfg, "--out", str(out), "--timing-reps", "1"])
+    code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER
@@ -40,8 +40,7 @@ def test_cli_overrides_config(tmp_path, capsys):
         "num_problems = 3",
         "",
     ]))
-    code = main(["run", "--config", cfg, "--num-problems", "1",
-                 "--timing-reps", "1"])
+    code = main(["run", "--config", cfg, "--num-problems", "1"])
     assert code == 0
     printed = capsys.readouterr().out
     assert printed.count("problem ") == 1
@@ -53,8 +52,7 @@ def test_flags_only_no_config(tmp_path):
                  "--method", "srfom-stab", "--matrix", "gen:hpd:N=90,seed=4",
                  "--m", "12", "--k", "3", "--s", "60",
                  "--num-problems", "2", "--seed", "1",
-                 "--perturbation", "1e-8", "--timing-reps", "1",
-                 "--out", str(out)])
+                 "--perturbation", "1e-8", "--out", str(out)])
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
@@ -89,10 +87,14 @@ def test_error_exit_code(tmp_path, capsys):
         (good + "seed = -1\n", "need seed >= 0"),
         (good.replace("gen:hpd:N=50", "gen:neumann2d:n=1"), "generator 'neumann2d'"),
         (good.replace("N=50", "N=0"), "generator 'hpd'"),
-        # rejected, not clamped: a run repeats at least once, and a negative
-        # oracle cap would drop every relerr without a word
-        (good + "timing_reps = -3\n", "need timing_reps >= 1"),
+        # rejected, not clamped: a negative oracle cap would drop every
+        # relerr without a word
         (good + "oracle_cap = -1\n", "need oracle_cap >= 0"),
+        # a sequence runs once: there is no repetition count to set
+        (good + "timing_reps = 3\n", "unknown config key(s): timing_reps"),
+        # the grown QR of [U, V_m] has at most N columns
+        (good.replace("method = fom", "method = rfom").replace("m = 10", "m = 30")
+         + "k = 25\n", "need k + m <= N = 50 for rfom"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])
@@ -123,7 +125,18 @@ def test_non_finite_matrix_market_entry_exit_code(tmp_path, capsys):
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
                     "2 2 2\n1 1 1.0\n2 2 nan\n", encoding="utf-8")
     code = main(["run", "--function", "inv", "--method", "fom", "--m", "2",
-                 "--matrix", str(path), "--timing-reps", "1"])
+                 "--matrix", str(path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "line 4" in err
+
+
+def test_non_square_matrix_market_exit_code(tmp_path, capsys):
+    path = tmp_path / "wide.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "3 4 3\n1 1 1.0\n2 2 2.0\n3 4 3.0\n", encoding="utf-8")
+    code = main(["run", "--function", "inv", "--method", "fom", "--m", "2",
+                 "--matrix", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "3x4" in err

@@ -43,6 +43,7 @@ from krec import (
 )
 from krec.driver import CSV_HEADER, summarize
 from krec.matrices import gen_hpd
+from krec.mmio import write_matrix_market
 from krec.sparse import CSRMatrix
 
 
@@ -50,7 +51,7 @@ def _spec(**kw):
     base = dict(
         function=INVSQRT, method="fom", num_problems=2, m=20,
         matrix_source=GeneratorSource("hpd", {"N": 120, "seed": 1}),
-        seed=3, timing_reps=1,
+        seed=3,
     )
     base.update(kw)
     return SequenceSpec(**base)
@@ -62,7 +63,7 @@ def _singular_inv_spec():
     return SequenceSpec(
         function=INV, method="fom", num_problems=2, m=9,
         matrix_source=GeneratorSource("neumann2d", {"n": 3}),
-        seed=0, timing_reps=1)
+        seed=0)
 
 
 class TestOracle:
@@ -90,8 +91,9 @@ class TestOracle:
         np.testing.assert_allclose(oracle_exact(A, b, EXP), taylor, atol=1e-12)
 
     def test_over_cap_returns_none(self):
-        A = CSRMatrix.identity(10)
-        assert oracle_exact(A, np.ones(10), INV, cap=5) is None
+        oracle = DenseOracle(INV, cap=5)
+        oracle.set_matrix(CSRMatrix.identity(10), epoch=0)
+        assert oracle.solve(np.ones(10)) is None
 
     def test_factorization_shared_by_content(self, monkeypatch):
         rng = np.random.default_rng(123)
@@ -194,7 +196,7 @@ class TestRunSequence:
         spec = SequenceSpec(
             function=exp_scaled(0.01), method="rfom", k=20, num_problems=3,
             matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=0,
-            rhs_rule="chain", t=2, timing_reps=1,
+            rhs_rule="chain", t=2,
             m=AdaptiveM(reltol=1e-9, d=10, m_max=300))
         recs = run_sequence(spec)
         assert [r.error for r in recs] == [None] * 3
@@ -224,7 +226,7 @@ class TestRunSequence:
             recs = run_sequence(SequenceSpec(
                 function=exp_scaled(100.0), method=method, num_problems=2, m=10,
                 matrix_source=GeneratorSource("neumann2d", {"n": 10}),
-                rhs_rule="chain", timing_reps=1, **extra))
+                rhs_rule="chain", **extra))
         assert len(recs) == 2
         for r in recs:
             assert not r.converged and r.error.startswith("DomainError")
@@ -254,17 +256,24 @@ class TestRunSequence:
         recs = run_sequence(spec)
         assert all(r.relerr is not None and r.relerr < 1e-8 for r in recs)
 
-    def test_wall_time_is_median_over_repetitions(self, monkeypatch):
-        calls = iter([1.0, 2.0, 9.0])
+    def test_sequence_runs_once(self, monkeypatch):
+        # the records of the one pass are returned as they are
+        runs = []
+        real = krec.driver._run_once
+        monkeypatch.setattr(krec.driver, "_run_once",
+                            lambda spec, A0: runs.append(1) or real(spec, A0))
+        recs = run_sequence(_spec())
+        assert len(runs) == 1 and len(recs) == 2
 
-        def fake_run_once(spec, A0):
-            return [krec.driver.RunRecord(problem_index=0, method=spec.method, m_used=1,
-                                          matvecs=0, inner_products=0, sketches=0,
-                                          wall_time=next(calls))]
-
-        monkeypatch.setattr(krec.driver, "_run_once", fake_run_once)
-        recs = run_sequence(_spec(timing_reps=3))
-        assert recs[0].wall_time == 2.0
+    def test_tiny_scale_is_in_the_domain(self, tmp_path):
+        # the domain rule is relative: A and 1e-13 A are both admissible for inv
+        path = tmp_path / "tiny.mtx"
+        A = gen_hpd(100, seed=1)
+        write_matrix_market(CSRMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                                      1e-13 * A.values), str(path))
+        recs = run_sequence(_spec(function=INV, matrix_source=MatrixMarketSource(str(path))))
+        assert [r.error for r in recs] == [None, None]
+        assert all(r.relerr < 1e-5 for r in recs)
 
     def test_failure_recorded_and_sequence_continues(self):
         # the approximant path raises per problem but the sequence keeps going
@@ -274,7 +283,7 @@ class TestRunSequence:
 
 
 _GOLDEN_SPEC = dict(
-    function=INVSQRT, num_problems=4, perturbation=1e-8, seed=1, t=4, timing_reps=1,
+    function=INVSQRT, num_problems=4, perturbation=1e-8, seed=1, t=4,
     matrix_source=GeneratorSource("twocluster", {"N": 64, "nsmall": 6, "seed": 2}),
 )
 # per-problem (m_used, matvecs, inner_products, sketches) of each method on
@@ -335,7 +344,7 @@ class TestSketchedRecyclingUpdate:
         common = dict(
             function=INVSQRT, num_problems=5, m=AdaptiveM(reltol=1e-8, d=10, m_max=220),
             matrix_source=GeneratorSource("twocluster", {"N": 200, "nsmall": 20, "seed": 11}),
-            k=20, s=256, t=8, seed=5, perturbation=1e-8, timing_reps=1)
+            k=20, s=256, t=8, seed=5, perturbation=1e-8)
         for method in ("srfom", "srfom_stab"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -347,7 +356,7 @@ class TestSketchedRecyclingUpdate:
 
 
 class TestRecyclingUpdate:
-    _COMMON = dict(function=INV, k=6, s=120, t=4, seed=2, timing_reps=1,
+    _COMMON = dict(function=INV, k=6, s=120, t=4, seed=2,
                    num_problems=4, matrix_source=GeneratorSource("hpd", {"N": 90, "seed": 1}))
 
     def test_first_problem_shorter_than_k(self):
@@ -618,6 +627,24 @@ class TestSpecValidation:
         assert [r.error for r in recs] == [None] * 3
         assert recs[-1].relerr < 1e-2
 
+    def test_recycled_basis_fits_the_matrix(self):
+        # the k + m columns of [U, V_m] are grown into a QR with N rows
+        spec = _spec(method="rfom", k=10, m=60, num_problems=3,
+                     matrix_source=GeneratorSource("twocluster", {"N": 64, "seed": 2}))
+        with pytest.raises(ConfigError, match="need k \\+ m <= N = 64 for rfom"):
+            run_sequence(spec)
+        with pytest.raises(ConfigError, match="need k \\+ m_max <= N"):
+            run_sequence(dataclasses.replace(spec, m=AdaptiveM(1e-8, d=10, m_max=60)))
+        recs = run_sequence(dataclasses.replace(spec, k=4))
+        assert [r.error for r in recs] == [None] * 3
+
+    def test_timing_reps_is_one(self):
+        # a sequence runs once; the field stays for callers that pass 1
+        assert _spec(timing_reps=1).timing_reps == 1
+        for reps in (0, 2, 3):
+            with pytest.raises(ConfigError, match="timing_reps"):
+                _spec(timing_reps=reps)
+
     def test_k_below_m(self):
         with pytest.raises(ConfigError):
             _spec(method="rfom", k=20, m=20)
@@ -686,6 +713,13 @@ class TestParsing:
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
             load_matrix(GeneratorSource("laplace3d", {}))
+
+    def test_non_square_matrix_rejected(self, tmp_path):
+        path = tmp_path / "wide.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 4 2\n1 1 1.0\n3 4 2.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="square, got shape 3x4"):
+            load_matrix(MatrixMarketSource(str(path)))
 
     def test_read_config_and_build_spec(self, tmp_path):
         cfg = tmp_path / "run.cfg"

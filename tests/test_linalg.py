@@ -90,15 +90,15 @@ def _chol_cases():
 class TestCholQr:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_well_conditioned_matches_householder(self, order):
-        W = np.asarray(_chol_cases()["well"], order=order)
-        out, ref = chol_qr(W), qr_econ(W)
+        well = _chol_cases()["well"]
+        out, ref = chol_qr(np.asarray(well, order=order)), qr_econ(well)
         d = np.diagonal(out.R)
         assert np.all(d.imag == 0) and np.all(d.real > 0)
         assert np.array_equal(out.R, np.triu(out.R))
         assert np.linalg.norm(out.R - ref.R) <= 1e-13 * np.linalg.norm(ref.R)
-        assert np.linalg.norm(out.Q - ref.Q) <= 1e-13 * np.sqrt(W.shape[1])
-        assert np.linalg.norm(out.Q.conj().T @ out.Q - np.eye(W.shape[1])) <= 1e-13
-        assert np.linalg.norm(out.Q @ out.R - W) <= 1e-13 * np.linalg.norm(W)
+        assert np.linalg.norm(out.Q - ref.Q) <= 1e-13 * np.sqrt(well.shape[1])
+        assert np.linalg.norm(out.Q.conj().T @ out.Q - np.eye(well.shape[1])) <= 1e-13
+        assert np.linalg.norm(out.Q @ out.R - well) <= 1e-13 * np.linalg.norm(well)
 
     @pytest.mark.parametrize("case", ["dependent", "ill"])
     def test_falls_back_to_householder_bit_for_bit(self, case):
@@ -115,24 +115,26 @@ class TestCholQr:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
     def test_input_unchanged_and_charge(self, order, case):
+        # chol_qr counts nothing: its one caller, GrowingQR, factors a copy of
+        # the block in its buffer and charges the QR, whichever path it takes
         W = np.asarray(_chol_cases()[case], order=order)
         before, counters = W.copy(), Counters()
-        chol_qr(W, counters)
+        qr = GrowingQR(W.shape[0])
+        qr.append(W, counters)
         assert np.array_equal(W, before)
         n = W.shape[1]
         assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
+        assert np.linalg.norm(qr.Q @ qr.R - W) <= 1e-13 * np.linalg.norm(W)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", ["well", "dependent", "ill"])
     def test_out_takes_q_in_place(self, order, case):
-        # with overwrite, the Cholesky path writes the output Q into a
-        # column-major W and returns W; a row-major W is copied, and the
-        # Householder fallback leaves W alone
+        # the Cholesky path writes Q into a column-major W and returns W; a
+        # row-major W is copied, and the Householder fallback leaves W alone
         W = np.asarray(_chol_cases()[case], order=order)
         before = W.copy(order="A")
-        want = chol_qr(W)
-        assert np.array_equal(W, before)
-        got = chol_qr(W, overwrite=True)
+        want = chol_qr(np.asfortranarray(before))
+        got = chol_qr(W)
         assert np.array_equal(got.Q, want.Q) and np.array_equal(got.R, want.R)
         if case == "well" and order == "F":
             assert got.Q is W
@@ -140,16 +142,15 @@ class TestCholQr:
             assert got.Q is not W and np.array_equal(W, before)
 
     def test_out_may_be_w(self):
-        # W is a slot of a wider column-major buffer, as in GrowingQR: with
-        # overwrite the output Q is that slot, and the columns beside it are
-        # not touched
+        # W is a slot of a wider column-major buffer, as in GrowingQR: the
+        # output Q is that slot, and the columns beside it are not touched
         well = _chol_cases()["well"]
         n = well.shape[1]
         buf = np.zeros((well.shape[0], n + 3), dtype=np.complex128, order="F")
         W = buf[:, 1:1 + n]
         W[:] = well
         want = chol_qr(well)
-        got = chol_qr(W, overwrite=True)
+        got = chol_qr(W)
         assert got.Q is W
         assert np.array_equal(W, want.Q) and np.array_equal(got.R, want.R)
         assert not np.any(buf[:, 0]) and not np.any(buf[:, 1 + n:])
@@ -504,6 +505,38 @@ def test_growing_qr_writes_each_block_into_its_buffer(monkeypatch, path):
     n, d = M.shape[1], out.shape[1]
     assert np.shares_memory(out, qr.Q) and np.array_equal(out, qr.Q[:, n - d:])
     assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(qr.Q @ qr.R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
+
+
+def _growing_block(rng, qr, d, kind):
+    """A block of d columns for a GrowingQR: random (Cholesky path), of
+    condition 1e3 (Householder fallback) or within 1e-6 of range(Q) (second
+    pass; random while Q is empty)."""
+    N = qr.Q.shape[0]
+    if kind == "ill" and d > 1:
+        U, V = (np.linalg.qr(_random_complex(rng, shape))[0] for shape in ((N, d), (d, d)))
+        return (U * np.logspace(0, -3, d)) @ V
+    if kind == "near" and qr.n:
+        return qr.Q @ _random_complex(rng, (qr.n, d)) + 1e-6 * _random_complex(rng, (N, d))
+    return _random_complex(rng, (N, d))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.sampled_from(["random", "ill", "near"])),
+                min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_growing_qr_charges_one_qr_over_any_split(blocks, seed):
+    # column j of M is charged j + 1 inner products, so n columns cost
+    # n(n+1)/2 however they are split and whichever path each block takes
+    rng = np.random.default_rng(seed)
+    qr, counters = GrowingQR(120), Counters()
+    cols = []
+    for d, kind in blocks:
+        cols.append(_growing_block(rng, qr, d, kind))
+        qr.append(cols[-1], counters)
+        n = qr.n
+        assert counters.snapshot() == (0, n * (n + 1) // 2, 0)
+    M = np.hstack(cols)
     assert np.linalg.norm(qr.Q @ qr.R - M) <= 10 * np.sqrt(n) * _EPS * np.linalg.norm(M)
 
 

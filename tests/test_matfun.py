@@ -94,6 +94,11 @@ def test_matfun_apply_matches_matfun():
 def test_domain_errors():
     with pytest.raises(DomainError):
         matfun(INV, np.diag([1.0, 1e-14]).astype(np.complex128))
+    # the rule is relative to the spectral radius: a tiny H is admissible
+    tiny, c = 1e-13 * np.diag([2.0, 3.0]).astype(np.complex128), np.ones(2)
+    np.testing.assert_allclose(matfun_apply(INV, tiny, c), [5e12, 1e13 / 3], rtol=1e-14)
+    np.testing.assert_allclose(matfun_apply(INVSQRT, tiny, c),
+                               1 / np.sqrt([2e-13, 3e-13]), rtol=1e-14)
     with pytest.raises(DomainError):
         matfun(INVSQRT, np.diag([1.0, -2.0]).astype(np.complex128))
     # negative real part but nonzero imaginary part is admissible for invsqrt
@@ -263,6 +268,20 @@ def test_kernel_identities(H, tau):
     assert np.linalg.norm(Y @ H @ Y - eye) <= tol
     E = matfun(exp_scaled(tau), H) @ matfun(exp_scaled(-tau), H)
     assert np.linalg.norm(E - eye) <= tol
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 12).flatmap(_well_conditioned), st.floats(-14.0, 14.0),
+       st.integers(0, 2**32 - 1))
+def test_domain_rule_is_scale_invariant(H, log_c, seed):
+    # f(cH) = c^-1 f(H) for inv and c^(-1/2) f(H) for invsqrt at any c > 0:
+    # the distance to the forbidden set is measured against the spectrum
+    c = 10.0 ** log_c
+    v = _random_complex(np.random.default_rng(seed), H.shape[0])
+    for f, power in ((INV, -1.0), (INVSQRT, -0.5)):
+        want = c ** power * matfun_apply(f, H, v)
+        got = matfun_apply(f, c * H, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_exp_scaled_tau():

