@@ -28,20 +28,15 @@ from .arnoldi import (
     arnoldi_build,
     arnoldi_extend,
 )
+from .config import build_spec, emit_csv, parse_matrix_source, read_config
 from .counters import Counters
 from .driver import (
     AdaptiveM,
-    DenseOracle,
     GeneratorSource,
     MatrixMarketSource,
     RunRecord,
     SequenceSpec,
-    build_spec,
-    emit_csv,
     load_matrix,
-    oracle_exact,
-    parse_matrix_source,
-    read_config,
     run_sequence,
 )
 from .errest import (
@@ -82,6 +77,7 @@ from .matrices import (
     perturb_sparsity_gaussian,
 )
 from .mmio import read_matrix_market, write_matrix_market
+from .oracle import DenseOracle, oracle_exact
 from .recycle import (
     RecycleState,
     propagate_AU,

@@ -20,6 +20,7 @@ from .linalg import eigvals_dense, lu_solve
 
 _DOMAIN_TOL = 1e-12  # relative to the spectral radius, so f(cH) behaves as f(H)
 _CERT_SAFETY = 10.0  # margin of the LU spectrum certificate of inv
+KINDS = ("invsqrt", "inv", "exp")
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class ScalarFunction:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("invsqrt", "inv", "exp"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
 
     def __call__(self, z):

@@ -6,12 +6,20 @@ import scipy.sparse
 from .sparse import CSRMatrix
 
 
+def _check_integers(**values):
+    """Raise ValueError unless every size or seed is an integer."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gen_neumann2d(n):
     """Five-point Laplacian on an n x n grid with Neumann boundary conditions.
 
     Boundary stencils reflect across the boundary so that every row sums to
     zero; the matrix is singular (constant null vector) until shifted.
     """
+    _check_integers(n=n)
     if n < 2:
         raise ValueError("grid size must be at least 2")
     # 1-D stencil tridiag(-1, 2, -1); reflection doubles the inward entry of
@@ -31,6 +39,7 @@ def gen_advdiff2d(n, peclet=1.0):
     negative definite and the advection part antisymmetric, so the field of
     values lies in the open left half-plane; suitable for exp time stepping.
     """
+    _check_integers(n=n)
     if n < 2:
         raise ValueError("grid size must be at least 2")
     h = 1.0 / (n + 1)
@@ -49,6 +58,7 @@ def gen_hpd(N, density=0.02, seed=0):
     Diagonally dominant by construction: D + c (R + R*) with D uniform in
     [1, 10] and c chosen from a Gershgorin bound.
     """
+    _check_integers(N=N, seed=seed)
     rng = np.random.default_rng(seed)
     d = rng.uniform(1.0, 10.0, size=N)
     nnz = max(1, int(density * N * N))
@@ -72,6 +82,9 @@ def gen_twocluster(N, nsmall=20, lo=0.07, hi=0.3, bulklo=1.0, bulkhi=10.0,
     away from the negative real axis).  The small cluster is what a
     recycling subspace of dimension ~nsmall can deflate.
     """
+    _check_integers(N=N, nsmall=nsmall, seed=seed)
+    if nsmall > N:
+        raise ValueError(f"need nsmall <= N, got nsmall={nsmall} > N={N}")
     rng = np.random.default_rng(seed)
     d = np.concatenate([
         np.geomspace(lo, hi, nsmall),

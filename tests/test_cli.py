@@ -1,7 +1,7 @@
 import pytest
 
 from krec.cli import main
-from krec.driver import CSV_HEADER
+from krec.config import CSV_HEADER
 
 
 def _cfg(tmp_path, text):
@@ -95,6 +95,17 @@ def test_error_exit_code(tmp_path, capsys):
         # the grown QR of [U, V_m] has at most N columns
         (good.replace("method = fom", "method = rfom").replace("m = 10", "m = 30")
          + "k = 25\n", "need k + m <= N = 50 for rfom"),
+        # a key the run would not read is rejected, not dropped
+        (good + "reltol = 1e-12\n", "'reltol'"),
+        (good + "adaptive = false\nd = 5\n", "'d'"),
+        (good + "m_max = 40\n", "'m_max'"),
+        (good + "tau = 0.5\n", "'tau'"),
+        # generator sizes and seeds are integers, and twocluster's small
+        # cluster fits in N
+        (good.replace("N=50", "N=50.0"), "generator 'hpd'"),
+        (good.replace("N=50", "N=50,seed=1.5"), "generator 'hpd'"),
+        (good.replace("gen:hpd:N=50", "gen:neumann2d:n=4.5"), "generator 'neumann2d'"),
+        (good.replace("gen:hpd:N=50", "gen:twocluster:N=10"), "nsmall"),
     ]
     for text, name in cases:
         code = main(["run", "--config", _cfg(tmp_path, text)])
@@ -140,3 +151,22 @@ def test_non_square_matrix_market_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "3x4" in err
+
+
+def test_unusable_path_exit_code(tmp_path, capsys):
+    # a path that cannot be read or written is an error line that names it
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("function = inv  # r\xe9sum\xe9\n".encode("latin-1"))
+    flags = ["--function", "inv", "--method", "fom", "--m", "5",
+             "--matrix", "gen:hpd:N=50"]
+    cases = [
+        (["--config", str(tmp_path / "missing.cfg")], "missing.cfg"),
+        (["--config", str(latin1)], "latin1.cfg"),
+        (flags[:-1] + [str(tmp_path / "missing.mtx")], "missing.mtx"),
+        (flags + ["--out", str(tmp_path / "no-dir" / "out.csv")], "out.csv"),
+    ]
+    for argv, name in cases:
+        code = main(["run"] + argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and name in err

@@ -41,9 +41,10 @@ from krec import (
     srfom_step,
     update_sketched,
 )
-from krec.driver import CSV_HEADER, summarize
+from krec.config import CSV_HEADER, summarize
 from krec.matrices import gen_hpd
 from krec.mmio import write_matrix_market
+from krec.oracle import _FactorCache
 from krec.sparse import CSRMatrix
 
 
@@ -114,8 +115,8 @@ class TestOracle:
         assert len(factors) == calls + 1
 
     def test_factor_cache_evicts_least_recent_by_bytes(self, monkeypatch):
-        monkeypatch.setattr(krec.driver._FactorCache, "MAX_BYTES", 2000)
-        cache = krec.driver._FactorCache()
+        monkeypatch.setattr(_FactorCache, "MAX_BYTES", 2000)
+        cache = _FactorCache()
         state = ("lu", (np.zeros(50, dtype=np.complex128), np.zeros(10, dtype=np.int32)))
         for key in "abc":  # 840 bytes each: two fit
             cache.put(key, state)

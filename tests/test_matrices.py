@@ -128,3 +128,23 @@ def test_perturb_negative_scale_rejected():
     A = gen_hpd(10, seed=0)
     with pytest.raises(ValueError):
         perturb_sparsity_gaussian(A, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("gen, kwargs", [
+    (gen_neumann2d, {"n": 4.5}),
+    (gen_advdiff2d, {"n": 4.0}),
+    (gen_hpd, {"N": 50.0}),
+    (gen_hpd, {"N": 50, "seed": 1.5}),
+    (gen_twocluster, {"N": 40, "nsmall": 5.0}),
+    (gen_twocluster, {"N": 40, "seed": 2.5}),
+], ids=["neumann2d-n", "advdiff2d-n", "hpd-N", "hpd-seed", "twocluster-nsmall",
+        "twocluster-seed"])
+def test_non_integer_size_or_seed_rejected(gen, kwargs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        gen(**kwargs)
+
+
+def test_twocluster_small_cluster_must_fit():
+    with pytest.raises(ValueError, match="nsmall <= N"):
+        gen_twocluster(10)
+    assert gen_twocluster(np.int64(20), nsmall=20).shape == (20, 20)
